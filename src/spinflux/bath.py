@@ -11,13 +11,15 @@ non-negative for every real w and obeys detailed balance
 
     rate(w, beta) = exp(-beta*w) * rate(-w, beta),
 
-which is what drives a single-bath system to the Gibbs state.  At w = 0 the
-analytic limit kappa/(2*beta) is used.
+which is what drives a single-bath system to the Gibbs state.  At w = 0, and
+wherever beta*w underflows below the smallest normal float, the analytic
+limit kappa/(2*beta) is used.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 SPECTRAL_KINDS = ("ohmic",)
@@ -63,8 +65,9 @@ def spectral_density(omega: float, kind: str = "ohmic") -> float:
 
 def rate(omega: float, bath: BathSpec) -> float:
     """One-sided bath rate at a transition frequency; the omega = 0 pole is
-    filled with its analytic limit kappa/(2*beta)."""
-    if omega == 0.0:
+    filled with its analytic limit kappa/(2*beta), which is also returned
+    when beta*omega is zero or subnormal (planck would see a pole or inf)."""
+    if abs(bath.beta * omega) < sys.float_info.min:
         return bath.coupling / (2.0 * bath.beta)
     odd = spectral_density(omega, bath.spectral_kind) - spectral_density(-omega, bath.spectral_kind)
     return 0.5 * bath.coupling * odd * planck(omega, bath.beta)

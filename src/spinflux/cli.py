@@ -14,7 +14,8 @@ Every artifact embeds provenance (artifact version, config hash, seed,
 variant, tolerances).  Outputs are byte-stable: identical configuration and
 seed give identical files, whatever SPINFLUX_WORKERS says.
 
-Exit codes: 0 success, 2 configuration error, 3 solver failure.
+Exit codes: 0 success, 2 configuration error, 3 solver failure (including a
+chain too long for dense Liouville algebra).
 """
 
 from __future__ import annotations
@@ -31,10 +32,11 @@ from . import __version__
 from .config import ConfigError, RunConfig, config_hash, parse_config, with_overrides
 from .chain import build_hamiltonian, build_local_hamiltonian_site
 from .dissipators import Generator, VariantError
-from .liouville import SolverError, assemble, propagate, steady_state
+from .liouville import (SolverError, Superoperator, assemble, propagate,
+                        steady_state)
 from .mcwf import NormCollapseError, run_ensemble
 from .observables import gibbs_state, reported_current_operator, transport_report
-from .operators import Operator, eig_hermitian
+from .operators import DimensionError, Operator, eig_hermitian
 
 logger = logging.getLogger(__name__)
 
@@ -109,9 +111,9 @@ def _write_json(path: Path, payload: dict) -> None:
                     encoding="utf-8")
 
 
-def _steady_payload(config: RunConfig, variant: str) -> dict:
-    gen = _generator(config, variant)
-    report = steady_state(assemble(gen), null_tol=config.nullspace_tol)
+def _steady_payload(config: RunConfig, s: Superoperator) -> dict:
+    variant = s.generator.variant
+    report = steady_state(s, null_tol=config.nullspace_tol)
     summary = transport_report(report.state, config.chain, variant)
     return {
         "variant": variant,
@@ -132,7 +134,7 @@ def run(config: RunConfig) -> None:
 
     if config.mode == "steady":
         payload = {"provenance": provenance,
-                   "steady": _steady_payload(config, config.variant)}
+                   "steady": _steady_payload(config, assemble(_generator(config)))}
         _write_json(out / "steady.json", payload)
         return
 
@@ -166,16 +168,14 @@ def run(config: RunConfig) -> None:
     current = observables["current_b1"]
     red = _generator(config, "redfield")
     weak = _generator(config, "weak_coupling")
-    red_states = propagate(assemble(red), rho0, times)
-    weak_states = propagate(assemble(weak), rho0, times)
+    red_current, red_steady = _exact_payloads(config, red, rho0, times, current)
+    weak_current, weak_steady = _exact_payloads(config, weak, rho0, times, current)
     ensemble = run_ensemble(weak.lindblad_terms(), rho0, times,
                             {"current_b1": current},
                             config.realizations, config.master_seed)
     series = {
-        "current_redfield": np.array(
-            [np.trace(s.matrix @ current.matrix).real for s in red_states]),
-        "current_weak_coupling": np.array(
-            [np.trace(s.matrix @ current.matrix).real for s in weak_states]),
+        "current_redfield": red_current,
+        "current_weak_coupling": weak_current,
         "current_weak_coupling_mcwf": ensemble.means["current_b1"],
         "current_weak_coupling_mcwf_se": ensemble.standard_errors["current_b1"],
     }
@@ -183,9 +183,19 @@ def run(config: RunConfig) -> None:
                ["time"] + list(series), [times] + list(series.values()))
     _write_json(out / "steady.json", {
         "provenance": provenance,
-        "steady": {v: _steady_payload(config, v)
-                   for v in ("redfield", "weak_coupling")},
+        "steady": {"redfield": red_steady, "weak_coupling": weak_steady},
     })
+
+
+def _exact_payloads(config: RunConfig, gen: Generator, rho0: Operator,
+                    times: np.ndarray, current: Operator):
+    """Propagated current series and steady payload of one generator, from
+    one assembly; returning drops the dense Liouvillian, so compare mode
+    holds at most one at a time."""
+    s = assemble(gen)
+    states = propagate(s, rho0, times)
+    series = np.array([np.trace(st.matrix @ current.matrix).real for st in states])
+    return series, _steady_payload(config, s)
 
 
 def _write_error(config: RunConfig | None, out_dir: str | None,
@@ -240,7 +250,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         run(config)
-    except (SolverError, NormCollapseError, VariantError) as exc:
+    except (SolverError, NormCollapseError, VariantError, DimensionError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         _write_error(config, None, exc, EXIT_SOLVER)
         return EXIT_SOLVER

@@ -22,7 +22,7 @@ from .operators import DimensionError, Operator
 
 logger = logging.getLogger(__name__)
 
-MAX_SITES = 7
+MAX_SITES = 6
 NULLSPACE_TOL = 1e-10
 EIG_CONDITION_LIMIT = 1e8
 TRACE_DRIFT_TOL = 1e-10
@@ -92,9 +92,16 @@ def assemble(gen: Generator) -> Superoperator:
     else:
         terms = gen.lindblad_terms()
         decay = terms.decay_operator()
-        for r, L in terms:
-            s += r * np.kron(L.conj(), L)
         s -= 0.5 * (np.kron(eye, decay) + np.kron(decay.T, eye))
+        # sum_k r_k kron(conj(L_k), L_k) over the stacked jumps, one row block
+        # a at a time: s4[a, b, c, e] += sum_k r_k conj(L_k[a, c]) L_k[b, e]
+        rates = np.array(terms.rates)
+        jumps = np.array(terms.jumps, dtype=complex).reshape(-1, d, d)
+        flat = jumps.reshape(-1, d * d)
+        s4 = s.reshape(d, d, d, d)
+        for a in range(d):
+            block = (jumps[:, a, :].conj() * rates[:, None]).T @ flat
+            s4[a] += block.reshape(d, d, d).transpose(1, 0, 2)
 
     return Superoperator(matrix=s, dim=d, generator=gen)
 

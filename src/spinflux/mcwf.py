@@ -1,20 +1,30 @@
 """Quantum-jump unraveling of Lindblad generators.
 
-Algorithm: waiting-time (norm-threshold) sampling.  Between jumps the state
-evolves deterministically under the non-Hermitian effective Hamiltonian; one
-uniform threshold is drawn per segment and a jump fires when the decaying
-squared norm crosses it.  The jump channel is selected with probability
-proportional to rate * |L psi|^2.  Sub-steps are sized so the squared norm
-loses at most ``MAX_STEP_NORM_LOSS`` per step, which keeps the first-order
-jump-timing bias below the statistical noise of ensembles up to ~1e6
-realizations.
+Algorithm: exact waiting-time (norm-threshold) sampling (Dalibard, Castin &
+Molmer, PRL 68, 580 (1992)).  Between jumps the state evolves under the
+non-Hermitian effective Hamiltonian H_eff; one uniform threshold is drawn per
+segment and a jump fires when the decaying squared norm crosses it.  The jump
+channel is selected with probability proportional to rate * |L psi|^2.
+
+H_eff splits into the connected blocks of its non-zero pattern (for the
+chain, the total-S_z sectors).  Each block is diagonalized once per batch,
+so between events a state is advanced in closed form, ``c <- exp(-i Lambda
+dt) c`` in eigen-coordinates, and its squared norm ``c^dag G c`` (with ``G =
+V^dag V``) is known at every time together with its derivative ``-c^dag W
+c`` (``W = V^dag i(H_eff - H_eff^dag) V``, positive semidefinite).  Each jump
+time is the root of the monotone norm minus the threshold, found by a
+bracketed, safeguarded Newton iteration to ``JUMP_TIME_RTOL``; the sampler
+has no time-step bias.  A block whose eigenvector matrix is worse
+conditioned than ``EIGVEC_CONDITION_LIMIT`` (near an exceptional point) is
+advanced with ``scipy.linalg.expm`` of the block instead, in the same loop.
 
 Reproducibility contract: trajectory ``r`` of a run with master seed ``m``
 draws from a private Philox stream keyed by the 128-bit integer
-``(m << 64) | r``.  Trajectories are simulated in fixed-size batches
-(``BATCH_SIZE`` columns of one matrix) and reduced in trajectory order, so
-the output bits depend only on (master seed, realizations, grid), never on
-the number of worker processes.
+``(m << 64) | r``: one threshold at the start, then per jump one channel
+draw followed by a new threshold.  Trajectories are simulated in fixed-size
+batches (``BATCH_SIZE`` columns of one matrix) and reduced in trajectory
+order, so the output bits depend only on (master seed, realizations, grid),
+never on the number of worker processes.
 """
 
 from __future__ import annotations
@@ -31,9 +41,11 @@ import scipy.linalg
 from .dissipators import LindbladTerms
 from .operators import DimensionError, Operator, eig_hermitian
 
-MAX_STEP_NORM_LOSS = 1e-3
 NORM_COLLAPSE = 1e-14
 BATCH_SIZE = 256
+EIGVEC_CONDITION_LIMIT = 1e4
+JUMP_TIME_RTOL = 1e-12
+MAX_ROOT_ITERATIONS = 100
 _MASK64 = (1 << 64) - 1
 
 
@@ -81,38 +93,58 @@ def effective_hamiltonian(h: Operator, terms: LindbladTerms) -> Operator:
     return Operator(h.matrix - 0.5j * terms.decay_operator())
 
 
-def _decay_rate_bound(h_eff: np.ndarray) -> float:
-    """Largest eigenvalue of the decay operator i(H_eff - H_eff_dag)."""
-    g = 1j * (h_eff - h_eff.conj().T)
-    return float(max(np.linalg.eigvalsh(g).max(), 0.0))
-
-
-def _substep_plan(times: np.ndarray, rate_bound: float):
-    """Per grid interval: (number of substeps, substep length)."""
-    intervals = np.diff(times)
-    plan = []
-    for dt in intervals:
-        n_sub = max(1, math.ceil(dt * rate_bound / MAX_STEP_NORM_LOSS))
-        plan.append((n_sub, dt / n_sub))
-    return plan
+def connected_blocks(matrix: np.ndarray) -> list[np.ndarray]:
+    """Index sets of the connected components of the symmetrized non-zero
+    pattern of a square matrix, in order of their smallest index; the
+    matrix is block diagonal on them with exactly zero off-block entries."""
+    dim = matrix.shape[0]
+    linked = (matrix != 0) | (matrix.T != 0)
+    label = np.arange(dim)
+    while True:
+        # every index takes the smallest label among itself and its neighbours
+        new = np.minimum(label, np.where(linked, label, dim).min(axis=1))
+        if np.array_equal(new, label):
+            return [np.flatnonzero(label == k) for k in np.unique(label)]
+        label = new
 
 
 class _BatchKernel:
-    """Shared propagation machinery for one (H_eff, jumps, grid) triple."""
+    """Event-driven propagation for one (H_eff, jumps, grid) triple.
+
+    States are held in coordinates ``x`` with ``psi = V x``: eigen-coordinates
+    on diagonalizable blocks, and plain amplitudes (``V = 1``) on the blocks
+    advanced by ``expm``.  In these coordinates ``gram = V^dag V`` gives the
+    squared norm and ``decay = V^dag i(H_eff - H_eff^dag) V`` minus its rate
+    of change.
+    """
 
     def __init__(self, h_eff: np.ndarray, terms: LindbladTerms, times: np.ndarray):
         self.times = np.asarray(times, dtype=float)
         if self.times.ndim != 1 or len(self.times) < 1 or \
                 np.any(np.diff(self.times) <= 0):
             raise ValueError("times must be a non-empty strictly increasing grid")
-        self.dim = h_eff.shape[0]
+        self.dim = dim = h_eff.shape[0]
         self.rates = np.array(terms.rates)
-        self.jumps = [np.asarray(L) for L in terms.jumps]
-        self.plan = _substep_plan(self.times, _decay_rate_bound(h_eff))
-        self.steppers = {}
-        for n_sub, dt_sub in self.plan:
-            if dt_sub not in self.steppers:
-                self.steppers[dt_sub] = scipy.linalg.expm(-1j * h_eff * dt_sub)
+        self.stacked = np.array(terms.jumps, dtype=complex).reshape(-1, dim)
+        decay = 1j * (h_eff - h_eff.conj().T)
+        self.eigenvalues = np.zeros(dim, dtype=complex)
+        self.v = np.zeros((dim, dim), dtype=complex)
+        self.v_inv = np.zeros((dim, dim), dtype=complex)
+        self.expm_blocks = []
+        for idx in connected_blocks(h_eff):
+            block = h_eff[np.ix_(idx, idx)]
+            vals, vecs = np.linalg.eig(block)
+            cond = np.linalg.cond(vecs)
+            if np.isfinite(cond) and cond <= EIGVEC_CONDITION_LIMIT:
+                self.eigenvalues[idx] = vals
+                self.v[np.ix_(idx, idx)] = vecs
+                self.v_inv[np.ix_(idx, idx)] = np.linalg.inv(vecs)
+            else:
+                self.v[idx, idx] = 1.0
+                self.v_inv[idx, idx] = 1.0
+                self.expm_blocks.append((idx, block))
+        self.gram = self.v.conj().T @ self.v
+        self.decay = self.v.conj().T @ decay @ self.v
 
     def run(self, psi0: np.ndarray, rngs: list, record: bool = False):
         """Propagate a batch (columns of psi0) along the grid.
@@ -124,46 +156,118 @@ class _BatchKernel:
         psi = np.array(psi0, dtype=complex)
         if psi.ndim == 1:
             psi = psi[:, None]
-        cols = psi.shape[1]
         thresholds = np.array([rng.random() for rng in rngs])
-        self.jump_log = [[] for _ in range(cols)] if record else None
+        self.jump_log = [[] for _ in range(psi.shape[1])] if record else None
 
-        t = self.times[0]
+        x = self.v_inv @ psi
         yield psi / np.sqrt(np.einsum("ij,ij->j", psi.conj(), psi).real)
-        for (n_sub, dt_sub), t_next in zip(self.plan, self.times[1:]):
-            stepper = self.steppers[dt_sub]
-            for k in range(n_sub):
-                psi = stepper @ psi
-                t_sub = t + (k + 1) * dt_sub
-                norms2 = np.einsum("ij,ij->j", psi.conj(), psi).real
-                crossed = norms2 <= thresholds
-                bad = np.flatnonzero(~crossed & (norms2 < NORM_COLLAPSE))
-                if bad.size:
-                    raise NormCollapseError(
-                        f"state norm collapsed to {norms2[bad[0]]:.3e} without "
-                        "crossing its jump threshold; substep pathology")
-                for j in np.flatnonzero(crossed):
-                    self._jump(psi, j, rngs[j], thresholds, t_sub)
-            t = t_next
+        for t, t_next in zip(self.times[:-1], self.times[1:]):
+            self._interval(x, t, t_next, rngs, thresholds)
+            psi = self.v @ x
             yield psi / np.sqrt(np.einsum("ij,ij->j", psi.conj(), psi).real)
 
-    def _jump(self, psi: np.ndarray, j: int, rng: np.random.Generator,
-              thresholds: np.ndarray, t_sub: float) -> None:
-        col = psi[:, j]
-        weights = np.array([r * np.vdot(L @ col, L @ col).real
-                            for r, L in zip(self.rates, self.jumps)])
-        total = weights.sum()
-        if total <= 0.0:
+    def _interval(self, x: np.ndarray, t: float, t_next: float, rngs: list,
+                  thresholds: np.ndarray) -> None:
+        """Advance every column of ``x`` in place from ``t`` to ``t_next``,
+        firing the jumps on the way."""
+        start = np.full(x.shape[1], t)
+        active = np.arange(x.shape[1])
+        while active.size:
+            seg = x[:, active]
+            end = self._advance(seg, t_next - start[active])
+            norms2 = self._norm2(end)
+            crossed = norms2 <= thresholds[active]
+            bad = np.flatnonzero(~crossed & (norms2 < NORM_COLLAPSE))
+            if bad.size:
+                raise NormCollapseError(
+                    f"state norm collapsed to {norms2[bad[0]]:.3e} without "
+                    "crossing its jump threshold")
+            x[:, active[~crossed]] = end[:, ~crossed]
+            seg = seg[:, crossed]
+            active = active[crossed]
+            if not active.size:
+                return
+            tau = self._crossing_time(seg, thresholds[active], t_next - start[active],
+                                      norms2[crossed],
+                                      JUMP_TIME_RTOL * max(abs(t), abs(t_next)))
+            start[active] += tau
+            x[:, active] = self._jump(self._advance(seg, tau), active,
+                                      start[active], rngs, thresholds)
+
+    def _advance(self, x: np.ndarray, dt: np.ndarray) -> np.ndarray:
+        """Coordinates of each column of ``x`` after its own time ``dt``."""
+        out = np.exp(np.multiply.outer(-1j * self.eigenvalues, dt)) * x
+        for idx, block in self.expm_blocks:
+            for step in np.unique(dt):
+                cols = np.flatnonzero(dt == step)
+                out[np.ix_(idx, cols)] = (scipy.linalg.expm(-1j * step * block)
+                                          @ x[np.ix_(idx, cols)])
+        return out
+
+    def _norm2(self, x: np.ndarray) -> np.ndarray:
+        return np.einsum("ij,ij->j", x.conj(), self.gram @ x).real
+
+    def _crossing_time(self, x: np.ndarray, thresholds: np.ndarray,
+                       spans: np.ndarray, end_norms2: np.ndarray,
+                       tol: float) -> np.ndarray:
+        """Per column, the time ``tau`` in ``(0, span]`` at which the squared
+        norm of ``advance(x, tau)`` falls to its threshold, to ``tol``.
+
+        Newton on the closed-form norm, whose derivative is ``-x^dag W x``;
+        a step that leaves the bracket is replaced by bisection.
+        """
+        lo = np.zeros_like(spans)
+        hi = spans.copy()
+        start_norms2 = self._norm2(x)
+        # exact for a single decay rate: the norm is then exp(-rate * tau)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tau = spans * (np.log(start_norms2 / thresholds)
+                           / np.log(start_norms2 / end_norms2))
+        tau = np.where(np.isfinite(tau), np.clip(tau, lo, hi), 0.5 * hi)
+        todo = np.arange(len(spans))
+        for _ in range(MAX_ROOT_ITERATIONS):
+            y = self._advance(x[:, todo], tau[todo])
+            f = self._norm2(y) - thresholds[todo]
+            slope = -np.einsum("ij,ij->j", y.conj(), self.decay @ y).real
+            above = f > 0
+            lo[todo] = np.where(above, tau[todo], lo[todo])
+            hi[todo] = np.where(above, hi[todo], tau[todo])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                newton = tau[todo] - f / slope
+            inside = (newton >= lo[todo]) & (newton <= hi[todo])
+            done = ((f == 0) | (hi[todo] - lo[todo] <= tol)
+                    | (inside & (np.abs(newton - tau[todo]) <= tol)))
+            step = np.where(inside, newton, 0.5 * (lo[todo] + hi[todo]))
+            tau[todo] = np.where(f == 0, tau[todo], step)
+            todo = todo[~done]
+            if not todo.size:
+                break
+        return tau
+
+    def _jump(self, x: np.ndarray, cols: np.ndarray, times: np.ndarray,
+              rngs: list, thresholds: np.ndarray) -> np.ndarray:
+        """Apply one jump to each column of ``x``; return the normalized
+        post-jump coordinates.  Each column draws its channel and then its
+        next threshold from its own stream."""
+        count = len(self.rates)
+        branches = (self.stacked @ (self.v @ x)).reshape(count, self.dim, -1)
+        weights = self.rates[:, None] * np.einsum(
+            "kij,kij->kj", branches.conj(), branches).real
+        total = weights.sum(axis=0)
+        if not np.all(total > 0.0):
             raise NormCollapseError(
                 "jump triggered but all channel weights vanish")
-        cum = np.cumsum(weights)
-        channel = int(np.searchsorted(cum, rng.random() * total, side="right"))
-        channel = min(channel, len(self.jumps) - 1)
-        new = self.jumps[channel] @ col
-        psi[:, j] = new / np.linalg.norm(new)
-        thresholds[j] = rng.random()
+        # per stream: the channel draw, then the next threshold
+        draws = np.array([rngs[j].random(2) for j in cols])
+        below = np.cumsum(weights, axis=0) <= draws[:, 0] * total
+        channels = np.minimum(below.sum(axis=0), count - 1)
+        thresholds[cols] = draws[:, 1]
+        new = branches[channels, :, np.arange(len(cols))].T
+        new /= np.linalg.norm(new, axis=0)
         if self.jump_log is not None:
-            self.jump_log[j].append((t_sub, channel))
+            for j, t, channel in zip(cols, times, channels):
+                self.jump_log[j].append((float(t), int(channel)))
+        return self.v_inv @ new
 
 
 def evolve_trajectory(h_eff: Operator, terms: LindbladTerms, psi0: np.ndarray,
@@ -238,7 +342,7 @@ def _run_batch(h_eff: np.ndarray, terms: LindbladTerms, times: np.ndarray,
     sumsq = np.zeros((len(obs_mats), n_t))
     for ti, batch in enumerate(kernel.run(psi0, rngs)):
         for oi, mat in enumerate(obs_mats):
-            vals = np.einsum("ij,ik,kj->j", batch.conj(), mat, batch).real
+            vals = np.einsum("ij,ij->j", batch.conj(), mat @ batch).real
             sums[oi, ti] = np.add.reduce(vals)
             sumsq[oi, ti] = np.add.reduce(vals * vals)
     return sums, sumsq
@@ -304,7 +408,7 @@ def run_ensemble(terms: LindbladTerms, initial, times: np.ndarray,
             "initial_state": initial_kind,
             "seed_scheme": "philox128(master<<64|index)",
             "batch_size": BATCH_SIZE,
-            "max_step_norm_loss": MAX_STEP_NORM_LOSS,
+            "sampler": "exact-waiting-time",
         },
     )
 

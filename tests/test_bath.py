@@ -102,6 +102,12 @@ class TestRate:
             assert rate(eps, bath) == pytest.approx(limit, rel=1e-3)
             assert rate(-eps, bath) == pytest.approx(limit, rel=1e-3)
 
+    @pytest.mark.parametrize("w", [5e-324, 1e-310, -5e-324, -1e-310])
+    def test_underflowing_frequency_takes_the_limit(self, w):
+        # beta*w is subnormal or zero: planck would hit its pole or return inf
+        bath = make_bath(beta=0.41, coupling=0.01)
+        assert rate(w, bath) == 0.01 / (2 * 0.41)
+
     def test_continuity_tightens(self):
         bath = make_bath(beta=0.8, coupling=0.03)
         limit = rate(0.0, bath)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from spinflux import cli
 from spinflux.cli import main
 
 BASE = """\
@@ -116,6 +117,19 @@ class TestCompareMode:
         steady = json.loads((out / "steady.json").read_text())["steady"]
         assert set(steady) == {"redfield", "weak_coupling"}
 
+    def test_each_generator_is_assembled_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_assemble(gen):
+            calls.append(gen.variant)
+            return assemble(gen)
+
+        assemble = cli.assemble
+        monkeypatch.setattr(cli, "assemble", counting_assemble)
+        cfg = write_config(tmp_path, BASE + "mode = compare\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert sorted(calls) == ["redfield", "weak_coupling"]
+
     def test_seeded_rerun_is_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, BASE + "mode = compare\n")
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -141,6 +155,15 @@ class TestFailureModes:
         assert main(["run", str(cfg), "--out", str(out)]) == 3
         record = json.loads((out / "error.json").read_text())
         assert record["error"] == "DegenerateSteadyStateError"
+        assert record["exit_code"] == 3
+
+    def test_chain_beyond_dense_cap_exit_code_and_record(self, tmp_path):
+        text = BASE.replace("chain.n = 3", "chain.n = 7")
+        cfg = write_config(tmp_path, text + "mode = steady\nvariant = weak_coupling\n")
+        out = tmp_path / "o"
+        assert main(["run", str(cfg), "--out", str(out)]) == 3
+        record = json.loads((out / "error.json").read_text())
+        assert record["error"] == "DimensionError"
         assert record["exit_code"] == 3
 
     def test_flag_overrides_apply(self, tmp_path):

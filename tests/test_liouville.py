@@ -81,10 +81,25 @@ class TestAssemble:
             assert np.abs(lhs - rhs).max() <= 1e-10 * max(np.abs(rhs).max(), 1.0)
 
     def test_site_cap(self):
-        chain = ChainSpec(n=8, field=1.0, exchange=0.001)
-        gen = Generator("weak_coupling", chain, LEFT, RIGHT)
-        with pytest.raises(DimensionError, match="trajectory sampler"):
-            assemble(gen)
+        for n in (7, 8):  # one n=7 Liouvillian is already 4.3 GB
+            chain = ChainSpec(n=n, field=1.0, exchange=0.001)
+            gen = Generator("weak_coupling", chain, LEFT, RIGHT)
+            with pytest.raises(DimensionError, match="trajectory sampler"):
+                assemble(gen)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("variant", LINDBLAD)
+    def test_jump_terms_match_per_channel_kron_sum(self, variant, n):
+        gen = make_generator(variant, chain=ChainSpec(n=n, field=1.0, exchange=0.01))
+        terms = gen.lindblad_terms()
+        h = gen.hamiltonian.matrix
+        eye = np.eye(gen.chain.dim)
+        decay = terms.decay_operator()
+        want = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+        for r, L in terms:
+            want += r * np.kron(L.conj(), L)
+        want -= 0.5 * (np.kron(eye, decay) + np.kron(decay.T, eye))
+        assert np.abs(assemble(gen).matrix - want).max() <= 1e-15
 
 
 class TestSteadyState:

@@ -5,7 +5,8 @@ import scipy.stats
 from spinflux.bath import BathSpec
 from spinflux.chain import ChainSpec
 from spinflux.dissipators import Generator, LindbladTerms
-from spinflux.mcwf import (Trajectory, _BatchKernel, _rng_for,
+from spinflux.liouville import Superoperator, expectation_series, propagate
+from spinflux.mcwf import (Trajectory, _BatchKernel, _rng_for, connected_blocks,
                            effective_hamiltonian, evolve_trajectory,
                            run_ensemble, split_seed)
 from spinflux.observables import reported_current_operator
@@ -123,6 +124,61 @@ class TestTrajectory:
         stat = scipy.stats.kstest(first, "expon").statistic
         critical = 1.6276 / np.sqrt(first.size)  # 1% point of the KS statistic
         assert stat < critical
+
+    @pytest.mark.parametrize("rate", [0.3, 1.0, 7.0])
+    def test_first_jump_time_is_exact(self, rate):
+        # single decay channel: the squared norm is exp(-rate t), so the first
+        # jump fires at -ln(u)/rate with u the stream's first draw
+        terms = damping_terms(rate=rate)
+        h_eff = effective_hamiltonian(two_level_field(), terms)
+        for r in range(20):
+            seed = split_seed(404, r)
+            u = _rng_for(seed).random()
+            want = -np.log(u) / rate
+            traj = evolve_trajectory(h_eff, terms, EXCITED,
+                                     np.array([0.0, want + 1.0]), seed)
+            assert abs(traj.jump_times[0] - want) <= 1e-12 * max(want, 1.0)
+
+
+class TestBlocks:
+    def test_n5_sectors_split_h_eff_exactly(self):
+        chain = ChainSpec(n=5, field=1.0, exchange=0.01)
+        gen = Generator("weak_coupling", chain, LEFT, RIGHT)
+        h_eff = effective_hamiltonian(gen.hamiltonian,
+                                      gen.lindblad_terms()).matrix
+        blocks = connected_blocks(h_eff)
+        assert [len(b) for b in blocks] == [1, 5, 10, 10, 5, 1]
+        label = np.empty(chain.dim, dtype=int)
+        for k, idx in enumerate(blocks):
+            label[idx] = k
+        off = label[:, None] != label[None, :]
+        assert np.count_nonzero(h_eff[off]) == 0
+
+    def test_defective_block_takes_expm_path(self):
+        # H = g sx with decay 4g on the upper level: H_eff sits at an
+        # exceptional point, one double eigenvalue with a single eigenvector
+        g, gamma = 0.5, 2.0
+        h = Operator(g * pauli("x").matrix, hermitian=True)
+        terms = LindbladTerms(rates=(gamma,), jumps=(pauli("minus").matrix,),
+                              hamiltonian=h)
+        h_eff = effective_hamiltonian(h, terms).matrix
+        grid = np.linspace(0.0, 6.0, 13)
+        kernel = _BatchKernel(h_eff, terms, grid)
+        assert [list(idx) for idx, _ in kernel.expm_blocks] == [[0, 1]]
+
+        eye = np.eye(2)
+        L = pauli("minus").matrix
+        decay = gamma * L.conj().T @ L
+        liouvillian = (-1j * (np.kron(eye, h.matrix) - np.kron(h.matrix.T, eye))
+                       + gamma * np.kron(L.conj(), L)
+                       - 0.5 * (np.kron(eye, decay) + np.kron(decay.T, eye)))
+        s = Superoperator(matrix=liouvillian, dim=2, generator=None)
+        rho0 = Operator(np.outer(EXCITED, EXCITED.conj()), hermitian=True)
+        exact = expectation_series(propagate(s, rho0, grid), pauli("z"))
+        res = run_ensemble(terms, EXCITED, grid, {"sz": pauli("z")},
+                           realizations=4000, master_seed=4242)
+        dev = np.abs(res.means["sz"] - exact)
+        assert np.all(dev <= 3.0 * res.standard_errors["sz"] + 1e-12)
 
 
 class TestEnsemble:
