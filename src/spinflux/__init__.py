@@ -16,12 +16,9 @@ from .chain import (ChainSpec, build_coupling_operator, build_current_operator,
 from .config import ConfigError, RunConfig, parse_config, serialize_config
 from .dissipators import (EigenOperatorSet, GammaMatrix, Generator,
                           LindbladTerms, VariantError, bohr_decompose,
-                          gamma_matrix, gamma_remainder_factor,
-                          kossakowski_apply, lindblad_apply, local_diag_dissipator,
-                          redfield_dissipator, secular_dissipator, split_gamma,
-                          weak_coupling_dissipator)
+                          gamma_matrix, gamma_remainder_factor, split_gamma)
 from .liouville import (DegenerateSteadyStateError, SolverError,
-                        SteadyStateReport, Superoperator, assemble,
+                        SteadyStateReport, Superoperator, apply, assemble,
                         expectation_series, propagate, steady_state)
 from .mcwf import (NormCollapseError, Trajectory, TrajectoryEnsembleResult,
                    effective_hamiltonian, evolve_trajectory, run_ensemble,

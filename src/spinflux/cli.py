@@ -35,7 +35,7 @@ from .dissipators import Generator, VariantError
 from .liouville import (SolverError, Superoperator, assemble, propagate,
                         steady_state)
 from .mcwf import NormCollapseError, run_ensemble
-from .observables import gibbs_state, reported_current_operator, transport_report
+from .observables import diagonality_defect, gibbs_state, reported_current_operator
 from .operators import DimensionError, Operator, eig_hermitian
 
 logger = logging.getLogger(__name__)
@@ -114,7 +114,6 @@ def _write_json(path: Path, payload: dict) -> None:
 def _steady_payload(config: RunConfig, s: Superoperator) -> dict:
     variant = s.generator.variant
     report = steady_state(s, null_tol=config.nullspace_tol)
-    summary = transport_report(report.state, config.chain, variant)
     return {
         "variant": variant,
         "currents": [float(x) for x in report.currents],
@@ -122,7 +121,8 @@ def _steady_payload(config: RunConfig, s: Superoperator) -> dict:
         "residual": report.residual,
         "null_space_dim": report.null_space_dim,
         "min_eigenvalue": report.min_eigenvalue,
-        "diagonality_defect": summary.diagonality_defect,
+        "diagonality_defect": diagonality_defect(report.state,
+                                                 s.generator.eigensystem),
     }
 
 

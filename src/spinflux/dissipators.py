@@ -27,13 +27,17 @@ weight attached to the channel X(w) is rate(-w, bath): emission (w > 0)
 carries the spontaneous-plus-stimulated factor N+1, absorption (w < 0) the
 factor N, which is exactly what detailed balance requires for a Gibbs fixed
 point at the bath temperature.
+
+Each generator has one representation, ``Generator.sandwich_terms()``:
+``(c, A, B)`` terms with ``L(rho) = sum c * A rho B``, coherent part
+included.  ``liouville.assemble`` and ``liouville.apply`` derive from it;
+``LindbladTerms`` is the jump form the trajectory sampler needs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -241,47 +245,21 @@ class LindbladTerms:
     def __iter__(self):
         return iter(zip(self.rates, self.jumps))
 
-    def decay_operator(self) -> np.ndarray:
-        """Sum of rate * L_dag L, the total decay rate operator."""
+    def effective_hamiltonian(self) -> np.ndarray:
+        """Non-Hermitian drift H - (i/2) sum_k rate_k L_k_dag L_k."""
         d = self.hamiltonian.dim
-        g = np.zeros((d, d), dtype=complex)
+        decay = np.zeros((d, d), dtype=complex)
         for r, L in self:
-            g += r * (L.conj().T @ L)
-        return g
+            decay += r * (L.conj().T @ L)
+        return self.hamiltonian.matrix - 0.5j * decay
 
-
-def lindblad_apply(terms: LindbladTerms, rho: Operator) -> Operator:
-    """Dissipative action sum_k rate_k (L rho L_dag - (1/2){L_dag L, rho});
-    the coherent part is the caller's business."""
-    if rho.dim != terms.hamiltonian.dim:
-        raise ValueError(f"state dim {rho.dim} does not match jump operators "
-                         f"({terms.hamiltonian.dim})")
-    return Operator(_lindblad_action(terms, rho.matrix))
-
-
-def _lindblad_action(terms: LindbladTerms, rho: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(rho)
-    for r, L in terms:
-        LrL = L @ rho @ L.conj().T
-        G = L.conj().T @ L
-        out += r * (LrL - 0.5 * (G @ rho + rho @ G))
-    return out
-
-
-def kossakowski_apply(coefficients: np.ndarray, ops: Sequence[np.ndarray],
-                      rho: np.ndarray) -> np.ndarray:
-    """General coefficient-matrix dissipator
-    sum_kl c_kl (F_k rho F_l_dag - (1/2){F_l_dag F_k, rho})."""
-    c = np.asarray(coefficients)
-    out = np.zeros_like(rho, dtype=complex)
-    for k, Fk in enumerate(ops):
-        for l, Fl in enumerate(ops):
-            if c[k, l] == 0.0:
-                continue
-            cross = Fl.conj().T @ Fk
-            out += c[k, l] * (Fk @ rho @ Fl.conj().T
-                              - 0.5 * (cross @ rho + rho @ cross))
-    return out
+    def sandwich_terms(self) -> tuple:
+        """``(-i, H_eff, 1)``, ``(i, 1, H_eff_dag)``, then ``(rate_k, L_k,
+        L_k_dag)`` in jump order: the Lindblad generator
+        ``-i[H, rho] + sum_k rate_k (L_k rho L_k_dag - (1/2){L_k_dag L_k, rho})``."""
+        h_eff = self.effective_hamiltonian()
+        return ((-1j, h_eff, None), (1j, None, h_eff.conj().T),
+                *((r, L, L.conj().T) for r, L in self))
 
 
 class Generator:
@@ -318,23 +296,22 @@ class Generator:
         if variant == "redfield":
             self._filtered = tuple(
                 _spectral_filter(es, b) for es, b in zip(self._eigensets, self.baths))
-        elif variant == "secular":
-            self._terms = _collect_terms(
-                self.hamiltonian,
-                [pair for es, b in zip(self._eigensets, self.baths)
-                 for pair in secular_terms_for_bath(es, b)])
+            return
+        if variant == "secular":
+            pairs = [pair for es, b in zip(self._eigensets, self.baths)
+                     for pair in secular_terms_for_bath(es, b)]
         elif variant == "weak_coupling":
-            self._terms = _collect_terms(
-                self.hamiltonian,
-                [_weak_coupling_jump(self.chain, b) for b in self.baths])
-        elif variant == "local_diag":
+            pairs = [_weak_coupling_jump(self.chain, b) for b in self.baths]
+        else:
             pairs = []
             for b in self.baths:
                 g = gamma_matrix(b, chain.field).matrix
                 up, down = _local_flip_operators(self.chain, b.side)
                 pairs.append((g[0, 0], up))
                 pairs.append((g[1, 1], down))
-            self._terms = _collect_terms(self.hamiltonian, pairs)
+        self._terms = LindbladTerms(rates=tuple(r for r, _ in pairs),
+                                    jumps=tuple(L for _, L in pairs),
+                                    hamiltonian=self.hamiltonian)
 
     @property
     def is_lindblad(self) -> bool:
@@ -360,6 +337,24 @@ class Generator:
             raise VariantError(f"redfield parts requested from variant {self.variant!r}")
         return tuple((xc.matrix, b) for xc, b in
                      zip(self.coupling_operators, self._filtered))
+
+    def sandwich_terms(self) -> tuple:
+        """The whole generator as ``(c, A, B)`` terms, ``L(rho) = sum c * A
+        rho B``, ``None`` standing for the identity.  Lindblad variants give
+        ``LindbladTerms.sandwich_terms()``; ``redfield`` gives ``(-i, H, 1)``,
+        ``(i, 1, H)``, then per bath the four terms of ``pi (B rho X - X B rho
+        + X rho B_dag - rho B_dag X)``, the double frequency sum
+        ``pi sum_{w,w'} rate(-w) [X(w) rho, X(w')_dag] + h.c.`` collapsed
+        over ``w'`` (the unfiltered sum is the bare contact operator again)."""
+        if self._terms is not None:
+            return self._terms.sandwich_terms()
+        h = self.hamiltonian.matrix
+        terms = [(-1j, h, None), (1j, None, h)]
+        for x, b in self.redfield_parts():
+            bd = b.conj().T
+            terms += [(math.pi, b, x), (-math.pi, x @ b, None),
+                      (math.pi, x, bd), (-math.pi, None, bd @ x)]
+        return tuple(terms)
 
 
 def _spectral_filter(eigset: EigenOperatorSet, bath: BathSpec) -> np.ndarray:
@@ -399,69 +394,3 @@ def _weak_coupling_jump(chain: ChainSpec, bath: BathSpec) -> tuple[float, np.nda
     u1 = math.sqrt(g[0, 0] / alpha)
     u2 = math.sqrt(g[1, 1] / alpha)
     return alpha, u1 * up + u2 * down
-
-
-def _collect_terms(hamiltonian: Operator, pairs: Sequence[tuple]) -> LindbladTerms:
-    rates = tuple(p[0] for p in pairs)
-    jumps = tuple(p[1] for p in pairs)
-    return LindbladTerms(rates=rates, jumps=jumps, hamiltonian=hamiltonian)
-
-
-def redfield_dissipator(gen: Generator) -> Callable[[Operator], Operator]:
-    """Dissipative action of the non-secular generator.
-
-    Algebraically identical to the double-frequency-sum form
-    pi * sum_{w,w'} rate(-w) [X(w) rho, X(w')_dag] + h.c., collapsed over w'
-    (the unfiltered sum is the bare contact operator again).
-    """
-    if gen.variant != "redfield":
-        raise VariantError(f"redfield dissipator requested from variant {gen.variant!r}")
-    parts = gen.redfield_parts()
-
-    def dissipator(rho: Operator) -> Operator:
-        r = rho.matrix
-        out = np.zeros_like(r)
-        for x, b in parts:
-            bd = b.conj().T
-            out += math.pi * (b @ r @ x - x @ b @ r + x @ r @ bd - r @ bd @ x)
-        return Operator(out)
-
-    return dissipator
-
-
-def secular_dissipator(gen: Generator) -> LindbladTerms:
-    if gen.variant != "secular":
-        raise VariantError(f"secular terms requested from variant {gen.variant!r}")
-    return gen.lindblad_terms()
-
-
-def weak_coupling_dissipator(gen: Generator) -> LindbladTerms:
-    if gen.variant != "weak_coupling":
-        raise VariantError(f"weak-coupling terms requested from variant {gen.variant!r}")
-    return gen.lindblad_terms()
-
-
-def local_diag_dissipator(gen: Generator) -> LindbladTerms:
-    if gen.variant != "local_diag":
-        raise VariantError(f"local-diag terms requested from variant {gen.variant!r}")
-    return gen.lindblad_terms()
-
-
-def generator_action(gen: Generator) -> Callable[[Operator], Operator]:
-    """Full action of the master equation: coherent part plus dissipators,
-    applied directly to a density matrix."""
-    h = gen.hamiltonian.matrix
-    if gen.variant == "redfield":
-        dissipate = redfield_dissipator(gen)
-
-        def act(rho: Operator) -> Operator:
-            r = rho.matrix
-            return Operator(-1j * (h @ r - r @ h) + dissipate(rho).matrix)
-    else:
-        terms = gen.lindblad_terms()
-
-        def act(rho: Operator) -> Operator:
-            r = rho.matrix
-            return Operator(-1j * (h @ r - r @ h) + _lindblad_action(terms, r))
-
-    return act

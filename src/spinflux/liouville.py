@@ -1,6 +1,8 @@
 """Superoperator assembly, steady states, and time propagation.
 
-Density matrices are column-stacked: ``vec(rho)[i + d*j] = rho[i, j]``, so
+``assemble`` and the matrix-free ``apply`` both derive from a generator's
+sandwich terms ``(c, A, B)``, ``L(rho) = sum c * A rho B``.  Density
+matrices are column-stacked: ``vec(rho)[i + d*j] = rho[i, j]``, so
 ``vec(A rho B) = kron(B.T, A) vec(rho)``.  The assembled matrix therefore acts
 on vectors of length d**2; chains beyond ``MAX_SITES`` must fall back to the
 trajectory sampler instead of dense Liouville algebra.
@@ -9,7 +11,6 @@ trajectory sampler instead of dense Liouville algebra.
 from __future__ import annotations
 
 import logging
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -47,10 +48,6 @@ class Superoperator:
     def __post_init__(self):
         self.matrix.flags.writeable = False
 
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        return (self.matrix @ rho.reshape(-1, order="F")).reshape(
-            (self.dim, self.dim), order="F")
-
 
 @dataclass(frozen=True)
 class SteadyStateReport:
@@ -71,37 +68,52 @@ def unvectorize(vec: np.ndarray, dim: int) -> np.ndarray:
     return np.asarray(vec).reshape((dim, dim), order="F")
 
 
+def apply(terms, rho: np.ndarray) -> np.ndarray:
+    """Matrix-free action ``sum c * A rho B`` of sandwich terms ``(c, A,
+    B)`` on a density matrix; ``None`` stands for the identity.  A state
+    whose dimension differs from the operators' raises ``ValueError``."""
+    out = np.zeros(np.shape(rho), dtype=complex)
+    for c, a, b in terms:
+        x = rho if a is None else a @ rho
+        out += c * (x if b is None else x @ b)
+    return out
+
+
 def assemble(gen: Generator) -> Superoperator:
-    """Build the full generator matrix: coherent part plus both bath
-    dissipators, in the column-stacking convention."""
+    """Build the full generator matrix ``sum c * kron(B.T, A)`` from the
+    generator's sandwich terms, in the column-stacking convention."""
     n = gen.chain.n
     if n > MAX_SITES:
         raise DimensionError(
             f"dense Liouville solves are capped at {MAX_SITES} sites (got {n}); "
             "use the trajectory sampler for longer chains")
-    h = gen.hamiltonian.matrix
     d = gen.chain.dim
-    eye = np.eye(d, dtype=complex)
-    s = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-
-    if gen.variant == "redfield":
-        for x, b in gen.redfield_parts():
-            bd = b.conj().T
-            s += math.pi * (np.kron(x.T, b) + np.kron(b.conj(), x)
-                            - np.kron(eye, x @ b) - np.kron((bd @ x).T, eye))
-    else:
-        terms = gen.lindblad_terms()
-        decay = terms.decay_operator()
-        s -= 0.5 * (np.kron(eye, decay) + np.kron(decay.T, eye))
-        # sum_k r_k kron(conj(L_k), L_k) over the stacked jumps, one row block
-        # a at a time: s4[a, b, c, e] += sum_k r_k conj(L_k[a, c]) L_k[b, e]
-        rates = np.array(terms.rates)
-        jumps = np.array(terms.jumps, dtype=complex).reshape(-1, d, d)
-        flat = jumps.reshape(-1, d * d)
-        s4 = s.reshape(d, d, d, d)
-        for a in range(d):
-            block = (jumps[:, a, :].conj() * rates[:, None]).T @ flat
-            s4[a] += block.reshape(d, d, d).transpose(1, 0, 2)
+    left = np.zeros((d, d), dtype=complex)
+    right = np.zeros((d, d), dtype=complex)
+    coeffs, lefts, rights = [], [], []
+    for c, a, b in gen.sandwich_terms():
+        if b is None:
+            left += c * a
+        elif a is None:
+            right += c * b
+        else:
+            coeffs.append(c)
+            lefts.append(a)
+            rights.append(b)
+    # s = kron(1, left) + kron(right.T, 1) + sum_t c_t kron(B_t.T, A_t), one
+    # row block a at a time so that no d^2 x d^2 temporary is formed; the
+    # stacked two-sided terms give s4[a, b, c, e] += sum_t c_t B_t[c, a] A_t[b, e]
+    coeffs = np.array(coeffs)
+    flat = np.array(lefts, dtype=complex).reshape(-1, d * d)
+    rights = np.array(rights, dtype=complex).reshape(-1, d, d)
+    s = np.zeros((d * d, d * d), dtype=complex)
+    s4 = s.reshape(d, d, d, d)
+    diag = np.arange(d)
+    for a in range(d):
+        s4[a, :, a, :] += left
+        s4[a, diag, :, diag] += right[:, a]
+        block = (rights[:, :, a] * coeffs[:, None]).T @ flat
+        s4[a] += block.reshape(d, d, d).transpose(1, 0, 2)
 
     return Superoperator(matrix=s, dim=d, generator=gen)
 
@@ -178,7 +190,6 @@ def propagate(s: Superoperator, rho0: Operator, times: np.ndarray) -> list[Opera
 
     states = _propagate_eig(s, rho0, times)
     if states is None:
-        logger.debug("generator eigenbasis ill-conditioned; using stepwise expm")
         states = _propagate_expm(s, rho0, times)
 
     out = []
@@ -195,6 +206,8 @@ def _propagate_eig(s, rho0, times):
     vals, vecs = np.linalg.eig(s.matrix)
     cond = np.linalg.cond(vecs)
     if not np.isfinite(cond) or cond >= EIG_CONDITION_LIMIT:
+        logger.info("eigenvector condition number %.3e; propagating with "
+                    "stepwise expm", cond)
         return None
     coeff = np.linalg.solve(vecs, vectorize(rho0.matrix))
     states = []
@@ -202,6 +215,9 @@ def _propagate_eig(s, rho0, times):
         v = vecs @ (np.exp(vals * t) * coeff)
         rho = unvectorize(v, s.dim)
         if abs(np.trace(rho) - 1.0) > TRACE_DRIFT_TOL:
+            logger.info("trace drift at t=%g on the eigenbasis path (eigenvector "
+                        "condition number %.3e); propagating with stepwise expm",
+                        t, cond)
             return None
         states.append(rho)
     return states

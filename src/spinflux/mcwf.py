@@ -86,11 +86,14 @@ class TrajectoryEnsembleResult:
 
 
 def effective_hamiltonian(h: Operator, terms: LindbladTerms) -> Operator:
-    """Non-Hermitian drift H - (i/2) sum_k rate_k L_k_dag L_k."""
+    """Non-Hermitian drift H - (i/2) sum_k rate_k L_k_dag L_k; ``h`` must be
+    the Hamiltonian the terms carry (``LindbladTerms.effective_hamiltonian``)."""
     if h.dim != terms.hamiltonian.dim:
         raise DimensionError(f"hamiltonian dim {h.dim} != jump dim "
                              f"{terms.hamiltonian.dim}")
-    return Operator(h.matrix - 0.5j * terms.decay_operator())
+    if not np.array_equal(h.matrix, terms.hamiltonian.matrix):
+        raise ValueError("h differs from the Hamiltonian the jump terms carry")
+    return Operator(terms.effective_hamiltonian())
 
 
 def connected_blocks(matrix: np.ndarray) -> list[np.ndarray]:

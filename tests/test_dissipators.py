@@ -8,12 +8,10 @@ from spinflux.bath import BathSpec, rate
 from spinflux.chain import ChainSpec
 from spinflux.dissipators import (Generator, LindbladTerms, VariantError,
                                   bohr_decompose, gamma_matrix,
-                                  gamma_remainder_factor, kossakowski_apply,
-                                  lindblad_apply, local_diag_dissipator,
-                                  redfield_dissipator, secular_dissipator,
+                                  gamma_remainder_factor,
                                   secular_terms_for_bath, split_gamma,
-                                  weak_coupling_dissipator,
                                   _local_flip_operators)
+from spinflux.liouville import apply
 from spinflux.observables import gibbs_state
 from spinflux.operators import Operator, eig_hermitian, pauli
 
@@ -86,6 +84,28 @@ class TestBohrDecompose:
             bohr_decompose(Operator(pauli("plus").matrix), pauli("x"), 1e-12)
 
 
+def dissipator(source, rho):
+    """Dissipative part of a generator or of Lindblad terms: the action of
+    their sandwich terms minus the coherent part -i[H, rho]."""
+    h = source.hamiltonian.matrix
+    return apply(source.sandwich_terms(), rho) + 1j * (h @ rho - rho @ h)
+
+
+def kossakowski_apply(coefficients, ops, rho):
+    """General coefficient-matrix dissipator
+    sum_kl c_kl (F_k rho F_l_dag - (1/2){F_l_dag F_k, rho})."""
+    c = np.asarray(coefficients)
+    out = np.zeros_like(rho, dtype=complex)
+    for k, Fk in enumerate(ops):
+        for l, Fl in enumerate(ops):
+            if c[k, l] == 0.0:
+                continue
+            cross = Fl.conj().T @ Fk
+            out += c[k, l] * (Fk @ rho @ Fl.conj().T
+                              - 0.5 * (cross @ rho + rho @ cross))
+    return out
+
+
 def double_sum_redfield(gen, rho):
     """Literal double-frequency-sum oracle (Hermitian rho)."""
     out = np.zeros_like(rho, dtype=complex)
@@ -101,11 +121,10 @@ def double_sum_redfield(gen, rho):
 class TestRedfield:
     def test_matches_double_sum_oracle(self):
         gen = make_generator("redfield")
-        dissipate = redfield_dissipator(gen)
         rng = np.random.default_rng(21)
         for _ in range(5):
             rho = random_hermitian(rng, 8)
-            got = dissipate(rho).matrix
+            got = dissipator(gen, rho.matrix)
             want = double_sum_redfield(gen, rho.matrix)
             assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)
 
@@ -114,10 +133,7 @@ class TestRedfield:
         right = BathSpec(beta=1.0, coupling=0.01, side="right")
         gen = Generator("redfield", FIG_CHAIN, left, right)
         rho_g = gibbs_state(gen.hamiltonian, 1.0)
-        dissipate = redfield_dissipator(gen)
-        h = gen.hamiltonian.matrix
-        full = (-1j * (h @ rho_g.matrix - rho_g.matrix @ h)
-                + dissipate(rho_g).matrix)
+        full = apply(gen.sandwich_terms(), rho_g.matrix)
         from spinflux.liouville import assemble
         scale = np.abs(assemble(gen).matrix).max()
         assert np.abs(full).max() <= 1e-10 * scale
@@ -125,7 +141,6 @@ class TestRedfield:
     def test_secular_truncation_matches_secular_terms(self):
         gen = make_generator("redfield")
         sec = make_generator("secular")
-        terms = secular_dissipator(sec)
         rng = np.random.default_rng(5)
         rho = random_hermitian(rng, 8)
         truncated = np.zeros((8, 8), dtype=complex)
@@ -135,20 +150,19 @@ class TestRedfield:
                 term = weight * (xw @ rho.matrix @ xw.conj().T
                                  - xw.conj().T @ xw @ rho.matrix)
                 truncated += term + term.conj().T
-        got = lindblad_apply(terms, rho).matrix
+        got = dissipator(sec, rho.matrix)
         assert np.abs(got - truncated).max() <= 1e-13
 
     def test_trace_annihilation(self):
         gen = make_generator("redfield")
-        dissipate = redfield_dissipator(gen)
         rng = np.random.default_rng(17)
         for _ in range(20):
             rho = random_hermitian(rng, 8)
-            assert abs(np.trace(dissipate(rho).matrix)) <= 1e-12
+            assert abs(np.trace(dissipator(gen, rho.matrix))) <= 1e-12
 
     def test_wrong_variant_rejected(self):
         with pytest.raises(VariantError):
-            redfield_dissipator(make_generator("secular"))
+            make_generator("secular").redfield_parts()
 
 
 class TestSecular:
@@ -171,7 +185,7 @@ class TestSecular:
         assert by_jump["minus"] > by_jump["plus"]
 
     def test_all_rates_nonnegative(self):
-        terms = secular_dissipator(make_generator("secular"))
+        terms = make_generator("secular").lindblad_terms()
         assert len(terms) > 0
         assert all(r >= 0 for r in terms.rates)
 
@@ -183,14 +197,10 @@ class TestSecular:
         populations /= populations.sum()
         rho = Operator((eig.eigenvectors * populations) @ eig.eigenvectors.conj().T,
                        hermitian=True)
-        out = lindblad_apply(gen.lindblad_terms(), rho).matrix
+        out = dissipator(gen, rho.matrix)
         in_basis = eig.eigenvectors.conj().T @ out @ eig.eigenvectors
         off = np.abs(in_basis) - np.diag(np.abs(np.diag(in_basis)))
         assert np.abs(off).max() <= 1e-12
-
-    def test_wrong_variant_rejected(self):
-        with pytest.raises(VariantError):
-            secular_dissipator(make_generator("redfield"))
 
 
 class TestGammaMatrix:
@@ -261,7 +271,7 @@ class TestSplitGamma:
 
 class TestWeakCoupling:
     def test_one_jump_per_bath_with_trace_rate(self):
-        terms = weak_coupling_dissipator(make_generator("weak_coupling"))
+        terms = make_generator("weak_coupling").lindblad_terms()
         assert len(terms) == 2
         for bath, r in zip((LEFT, RIGHT), terms.rates):
             want = 2 * math.pi * (rate(1.0, bath) + rate(-1.0, bath))
@@ -269,7 +279,6 @@ class TestWeakCoupling:
 
     def test_equivalent_to_kossakowski_form(self):
         gen = make_generator("weak_coupling")
-        terms = gen.lindblad_terms()
         rng = np.random.default_rng(8)
         for _ in range(20):
             rho = random_hermitian(rng, 8)
@@ -278,7 +287,7 @@ class TestWeakCoupling:
                 ga, _ = split_gamma(gamma_matrix(bath, FIG_CHAIN.field))
                 ops = _local_flip_operators(FIG_CHAIN, bath.side)
                 direct += kossakowski_apply(ga, ops, rho.matrix)
-            got = lindblad_apply(terms, rho).matrix
+            got = dissipator(gen, rho.matrix)
             assert np.abs(got - direct).max() <= 1e-12
 
     def test_zero_exchange_reduces_to_redfield_minus_remainder(self):
@@ -286,7 +295,6 @@ class TestWeakCoupling:
         red = Generator("redfield", chain, LEFT, RIGHT)
         weak = Generator("weak_coupling", chain, LEFT, RIGHT)
         rng = np.random.default_rng(12)
-        dissipate = redfield_dissipator(red)
         for _ in range(5):
             rho = random_hermitian(rng, 8)
             remainder = np.zeros((8, 8), dtype=complex)
@@ -294,18 +302,18 @@ class TestWeakCoupling:
                 _, gb = split_gamma(gamma_matrix(bath, chain.field))
                 ops = _local_flip_operators(chain, bath.side)
                 remainder += kossakowski_apply(gb, ops, rho.matrix)
-            lhs = dissipate(rho).matrix
-            rhs = lindblad_apply(weak.lindblad_terms(), rho).matrix + remainder
+            lhs = dissipator(red, rho.matrix)
+            rhs = dissipator(weak, rho.matrix) + remainder
             assert np.abs(lhs - rhs).max() <= 1e-12
 
     def test_wrong_variant_rejected(self):
         with pytest.raises(VariantError):
-            weak_coupling_dissipator(make_generator("local_diag"))
+            make_generator("weak_coupling").eigenoperator_sets()
 
 
 class TestLocalDiag:
     def test_two_jumps_per_bath(self):
-        terms = local_diag_dissipator(make_generator("local_diag"))
+        terms = make_generator("local_diag").lindblad_terms()
         assert len(terms) == 4
         got = sorted(terms.rates)
         want = sorted([2 * math.pi * rate(s * 1.0, b)
@@ -321,7 +329,7 @@ class TestLocalDiag:
             g = gamma_matrix(bath, FIG_CHAIN.field).matrix
             ops = _local_flip_operators(FIG_CHAIN, bath.side)
             direct += kossakowski_apply(np.diag(np.diag(g)), ops, rho.matrix)
-        got = lindblad_apply(gen.lindblad_terms(), rho).matrix
+        got = dissipator(gen, rho.matrix)
         assert np.abs(got - direct).max() <= 1e-13
 
 
@@ -338,32 +346,31 @@ class TestLindbladTerms:
         assert terms.rates == (1.0,)
 
     def test_trace_annihilation(self):
-        terms = weak_coupling_dissipator(make_generator("weak_coupling"))
+        terms = make_generator("weak_coupling").lindblad_terms()
         rng = np.random.default_rng(19)
         for _ in range(10):
             rho = random_hermitian(rng, 8)
-            assert abs(np.trace(lindblad_apply(terms, rho).matrix)) <= 1e-12
+            assert abs(np.trace(dissipator(terms, rho.matrix))) <= 1e-12
 
     def test_amplitude_damping_action(self):
         terms = LindbladTerms(rates=(1.0,), jumps=(pauli("minus").matrix,),
                               hamiltonian=two_level_field())
         excited = Operator(np.diag([1.0, 0.0]).astype(complex), hermitian=True)
-        out = lindblad_apply(terms, excited).matrix
+        out = dissipator(terms, excited.matrix)
         assert np.allclose(out, np.diag([-1.0, 1.0]), atol=1e-15)
 
     def test_hermiticity_preserved(self):
-        terms = secular_dissipator(make_generator("secular"))
+        terms = make_generator("secular").lindblad_terms()
         rng = np.random.default_rng(23)
         rho = random_hermitian(rng, 8)
-        out = lindblad_apply(terms, rho).matrix
+        out = dissipator(terms, rho.matrix)
         assert np.abs(out - out.conj().T).max() <= 1e-12
 
     def test_dim_mismatch(self):
         terms = LindbladTerms(rates=(1.0,), jumps=(pauli("minus").matrix,),
                               hamiltonian=two_level_field())
         with pytest.raises(ValueError, match="dim"):
-            lindblad_apply(terms, Operator(np.eye(4, dtype=complex) / 4,
-                                           hermitian=True))
+            apply(terms.sandwich_terms(), np.eye(4, dtype=complex) / 4)
 
 
 class TestGeneratorSpec:

@@ -1,12 +1,16 @@
+import logging
+import math
+
 import numpy as np
 import pytest
 
 from spinflux.bath import BathSpec
 from spinflux.chain import ChainSpec
-from spinflux.dissipators import Generator, generator_action
+from spinflux.dissipators import Generator
 from spinflux.liouville import (DegenerateSteadyStateError, SolverError,
-                                assemble, expectation_series, propagate,
-                                steady_state, vectorize)
+                                Superoperator, apply, assemble,
+                                expectation_series, propagate, steady_state,
+                                unvectorize, vectorize)
 from spinflux.observables import gibbs_state, trace_distance
 from spinflux.operators import DimensionError, Operator, eig_hermitian
 from spinflux.chain import build_current_operator
@@ -36,12 +40,12 @@ class TestAssemble:
     def test_action_equivalence(self, variant):
         gen = make_generator(variant)
         s = assemble(gen)
-        act = generator_action(gen)
+        terms = gen.sandwich_terms()
         rng = np.random.default_rng(31)
         for _ in range(20):
             rho = random_hermitian(rng, 8)
             via_matrix = s.matrix @ vectorize(rho.matrix)
-            direct = vectorize(act(rho).matrix)
+            direct = vectorize(apply(terms, rho.matrix))
             scale = max(np.abs(direct).max(), 1.0)
             assert np.abs(via_matrix - direct).max() <= 1e-12 * scale
 
@@ -76,8 +80,8 @@ class TestAssemble:
         for variant in ALL_VARIANTS:
             s = assemble(make_generator(variant))
             m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-            lhs = s.apply(m.conj().T)
-            rhs = s.apply(m).conj().T
+            lhs = unvectorize(s.matrix @ vectorize(m.conj().T), 8)
+            rhs = unvectorize(s.matrix @ vectorize(m), 8).conj().T
             assert np.abs(lhs - rhs).max() <= 1e-10 * max(np.abs(rhs).max(), 1.0)
 
     def test_site_cap(self):
@@ -88,17 +92,23 @@ class TestAssemble:
                 assemble(gen)
 
     @pytest.mark.parametrize("n", [3, 4])
-    @pytest.mark.parametrize("variant", LINDBLAD)
+    @pytest.mark.parametrize("variant", ALL_VARIANTS)
     def test_jump_terms_match_per_channel_kron_sum(self, variant, n):
         gen = make_generator(variant, chain=ChainSpec(n=n, field=1.0, exchange=0.01))
-        terms = gen.lindblad_terms()
         h = gen.hamiltonian.matrix
         eye = np.eye(gen.chain.dim)
-        decay = terms.decay_operator()
         want = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-        for r, L in terms:
-            want += r * np.kron(L.conj(), L)
-        want -= 0.5 * (np.kron(eye, decay) + np.kron(decay.T, eye))
+        if variant == "redfield":
+            for x, b in gen.redfield_parts():
+                bd = b.conj().T
+                want += math.pi * (np.kron(x.T, b) + np.kron(b.conj(), x)
+                                   - np.kron(eye, x @ b) - np.kron((bd @ x).T, eye))
+        else:
+            terms = gen.lindblad_terms()
+            decay = sum(r * (L.conj().T @ L) for r, L in terms)
+            for r, L in terms:
+                want += r * np.kron(L.conj(), L)
+            want -= 0.5 * (np.kron(eye, decay) + np.kron(decay.T, eye))
         assert np.abs(assemble(gen).matrix - want).max() <= 1e-15
 
 
@@ -216,6 +226,18 @@ class TestPropagate:
         s = assemble(make_generator("weak_coupling"))
         with pytest.raises(ValueError, match="increasing"):
             propagate(s, maximally_mixed(8), np.array([1.0, 0.5]))
+
+    def test_defective_generator_logs_expm_fallback(self, caplog):
+        # populations at rest, coherences (rho_10, rho_01) under the Jordan
+        # block [[-1, 1], [0, -1]]: no eigenbasis exists
+        m = np.zeros((4, 4), dtype=complex)
+        m[1, 1], m[1, 2], m[2, 2] = -1.0, 1.0, -1.0
+        s = Superoperator(matrix=m, dim=2, generator=None)
+        with caplog.at_level(logging.INFO, logger="spinflux.liouville"):
+            propagate(s, maximally_mixed(2), np.array([0.0, 1.0]))
+        [record] = [r for r in caplog.records if "expm" in r.getMessage()]
+        assert record.levelno == logging.INFO
+        assert "condition number" in record.getMessage()
 
     def test_expm_fallback_matches_eig_path(self):
         from spinflux import liouville

@@ -55,6 +55,11 @@ class TestEffectiveHamiltonian:
             effective_hamiltonian(Operator(np.eye(4, dtype=complex),
                                            hermitian=True), damping_terms())
 
+    def test_foreign_hamiltonian_rejected(self):
+        h = Operator(pauli("x").matrix, hermitian=True)
+        with pytest.raises(ValueError, match="differs"):
+            effective_hamiltonian(h, damping_terms())
+
 
 class TestTrajectory:
     def test_closed_system_conserves_energy(self):
