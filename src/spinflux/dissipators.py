@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -95,20 +96,22 @@ def _cluster_sorted(values: np.ndarray, tol: float) -> list[np.ndarray]:
     return groups
 
 
-def bohr_decompose(h: Operator, x: Operator, cluster_tol: float) -> EigenOperatorSet:
+def bohr_decompose(h: Operator, x: Operator, cluster_tol: float,
+                   eig: EigenSystem | None = None) -> EigenOperatorSet:
     """Split ``x`` into eigenoperators of ``h`` grouped by transition frequency.
 
     Eigenvalues of ``h`` closer than ``cluster_tol`` are treated as one level,
     and the resulting frequency differences are merged with the same
     tolerance.  Components with max-norm below ``ZERO_OPERATOR_NORM`` are
     dropped.  Entries come back sorted by frequency, exactly closed under
-    conjugation.
+    conjugation.  ``eig``, when given, is ``eig_hermitian(h)``.
     """
     if cluster_tol < 0:
         raise ValueError("cluster_tol must be >= 0")
     if not h.hermitian:
         raise ValueError("bohr_decompose requires a hermitian generator of the spectrum")
-    eig = eig_hermitian(h)
+    if eig is None:
+        eig = eig_hermitian(h)
     u = eig.eigenvectors
     x_eig = u.conj().T @ x.matrix @ u
 
@@ -265,8 +268,9 @@ class LindbladTerms:
 class Generator:
     """One master-equation generator: a variant bound to a chain and two baths.
 
-    Construction is eager and the result is immutable; instances are safe to
-    share across threads.
+    The Hamiltonian's eigensystem is computed on first use (``redfield``
+    and ``secular`` need it at construction, the local variants never do);
+    everything else is built eagerly and is immutable.
     """
 
     def __init__(self, variant: str, chain: ChainSpec, bath_left: BathSpec,
@@ -281,7 +285,6 @@ class Generator:
         self.cluster_tol = (DEFAULT_CLUSTER_TOL_FACTOR * chain.field
                             if cluster_tol is None else float(cluster_tol))
         self.hamiltonian = build_hamiltonian(chain)
-        self.eigensystem: EigenSystem = eig_hermitian(self.hamiltonian)
         self.coupling_operators = tuple(
             build_coupling_operator(chain, b.side) for b in self.baths)
 
@@ -291,7 +294,8 @@ class Generator:
 
         if variant in ("redfield", "secular"):
             self._eigensets = tuple(
-                bohr_decompose(self.hamiltonian, xc, self.cluster_tol)
+                bohr_decompose(self.hamiltonian, xc, self.cluster_tol,
+                               eig=self.eigensystem)
                 for xc in self.coupling_operators)
         if variant == "redfield":
             self._filtered = tuple(
@@ -312,6 +316,10 @@ class Generator:
         self._terms = LindbladTerms(rates=tuple(r for r, _ in pairs),
                                     jumps=tuple(L for _, L in pairs),
                                     hamiltonian=self.hamiltonian)
+
+    @cached_property
+    def eigensystem(self) -> EigenSystem:
+        return eig_hermitian(self.hamiltonian)
 
     @property
     def is_lindblad(self) -> bool:

@@ -39,7 +39,7 @@ import numpy as np
 import scipy.linalg
 
 from .dissipators import LindbladTerms
-from .operators import DimensionError, Operator, eig_hermitian
+from .operators import DimensionError, Operator, connected_blocks, eig_hermitian
 
 NORM_COLLAPSE = 1e-14
 BATCH_SIZE = 256
@@ -94,21 +94,6 @@ def effective_hamiltonian(h: Operator, terms: LindbladTerms) -> Operator:
     if not np.array_equal(h.matrix, terms.hamiltonian.matrix):
         raise ValueError("h differs from the Hamiltonian the jump terms carry")
     return Operator(terms.effective_hamiltonian())
-
-
-def connected_blocks(matrix: np.ndarray) -> list[np.ndarray]:
-    """Index sets of the connected components of the symmetrized non-zero
-    pattern of a square matrix, in order of their smallest index; the
-    matrix is block diagonal on them with exactly zero off-block entries."""
-    dim = matrix.shape[0]
-    linked = (matrix != 0) | (matrix.T != 0)
-    label = np.arange(dim)
-    while True:
-        # every index takes the smallest label among itself and its neighbours
-        new = np.minimum(label, np.where(linked, label, dim).min(axis=1))
-        if np.array_equal(new, label):
-            return [np.flatnonzero(label == k) for k in np.unique(label)]
-        label = new
 
 
 class _BatchKernel:

@@ -51,6 +51,18 @@ class TestSteadyMode:
         assert "config_sha256" in prov and "version" in prov
         assert prov["tolerances"]["nullspace"] == 1e-10
 
+    def test_liouville_artifacts_record_blas_threads(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        cfg = write_config(tmp_path, BASE + "mode = steady\nvariant = weak_coupling\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "s")]) == 0
+        prov = json.loads((tmp_path / "s" / "steady.json").read_text())["provenance"]
+        assert prov["blas_threads"] == 1
+        # the trajectory sampler's output does not depend on it
+        cfg = write_config(tmp_path, BASE + "mode = mcwf\nvariant = weak_coupling\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "m"),
+                     "--realizations", "4"]) == 0
+        assert "blas_threads" not in (tmp_path / "m" / "mcwf.csv").read_text()
+
     def test_equal_temperature_currents_vanish(self, tmp_path):
         text = BASE.replace("bath.left.beta = 0.41", "bath.left.beta = 1.39")
         cfg = write_config(tmp_path, text + "mode = steady\nvariant = weak_coupling\n")

@@ -29,6 +29,11 @@ def random_hermitian(rng, d):
     return Operator(m + m.conj().T, hermitian=True)
 
 
+def sz_sector(dim):
+    """Number of up spins of each computational basis state."""
+    return np.array([bin(k).count("1") for k in range(dim)])
+
+
 def two_level_field(field=1.0):
     return Operator(0.5 * field * pauli("z").matrix, hermitian=True)
 
@@ -165,7 +170,24 @@ class TestRedfield:
             make_generator("secular").redfield_parts()
 
 
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_parts_exactly_zero_off_neighbouring_sectors(self, n):
+        gen = make_generator("redfield", chain=ChainSpec(n=n, field=1.0, exchange=0.01))
+        sector = sz_sector(gen.chain.dim)
+        far = np.abs(sector[:, None] - sector[None, :]) != 1
+        for x, b in gen.redfield_parts():
+            assert not np.any(x[far]) and not np.any(b[far])
+
+
 class TestSecular:
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_jumps_exactly_zero_off_neighbouring_sectors(self, n):
+        gen = make_generator("secular", chain=ChainSpec(n=n, field=1.0, exchange=0.01))
+        sector = sz_sector(gen.chain.dim)
+        far = np.abs(sector[:, None] - sector[None, :]) != 1
+        for _, jump in gen.lindblad_terms():
+            assert not np.any(jump[far])
+
     def test_two_level_rates(self):
         # single-spin style check built straight from the decomposition
         bath = BathSpec(beta=0.9, coupling=0.05, side="left")
@@ -374,6 +396,24 @@ class TestLindbladTerms:
 
 
 class TestGeneratorSpec:
+    @pytest.mark.parametrize("variant,calls", [("weak_coupling", 0), ("local_diag", 0),
+                                               ("redfield", 1), ("secular", 1)])
+    def test_eigensystem_computed_once_and_only_when_needed(self, variant, calls,
+                                                            monkeypatch):
+        import spinflux.dissipators as dissipators
+        seen = []
+
+        def counting(op):
+            seen.append(op)
+            return eig_hermitian(op)
+
+        monkeypatch.setattr(dissipators, "eig_hermitian", counting)
+        gen = make_generator(variant)
+        assert len(seen) == calls
+        gen.eigensystem
+        gen.eigensystem
+        assert len(seen) == 1 and seen[0] is gen.hamiltonian
+
     def test_unknown_variant(self):
         with pytest.raises(ValueError, match="unknown variant"):
             make_generator("lamb_shift")

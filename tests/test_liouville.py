@@ -3,12 +3,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from spinflux.bath import BathSpec
 from spinflux.chain import ChainSpec
 from spinflux.dissipators import Generator
-from spinflux.liouville import (DegenerateSteadyStateError, SolverError,
-                                Superoperator, apply, assemble,
+from spinflux.liouville import (NULLSPACE_TOL, DegenerateSteadyStateError,
+                                SolverError, Superoperator, apply, assemble,
                                 expectation_series, propagate, steady_state,
                                 unvectorize, vectorize)
 from spinflux.observables import gibbs_state, trace_distance
@@ -156,6 +157,29 @@ class TestSteadyState:
         with pytest.raises(DegenerateSteadyStateError, match="dimension"):
             steady_state(assemble(gen))
 
+    @pytest.mark.parametrize("kappas", [(0.0, 0.0), (0.01, 0.0), (1e-12, 1e-12),
+                                        (0.01, 0.01)])
+    @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    def test_degeneracy_verdict_matches_dense_svd_count(self, variant, kappas):
+        left = BathSpec(beta=0.41, coupling=kappas[0], side="left")
+        right = BathSpec(beta=1.39, coupling=kappas[1], side="right")
+        s = assemble(make_generator(variant, left=left, right=right))
+        singvals = np.linalg.svd(s.matrix, compute_uv=False)
+        null_dim = int(np.sum(singvals <= NULLSPACE_TOL * singvals[0]))
+        try:
+            steady_state(s)
+            degenerate = False
+        except DegenerateSteadyStateError:
+            degenerate = True
+        assert degenerate == (null_dim != 1)
+
+    def test_logs_fill_and_singular_value_estimate(self, caplog):
+        with caplog.at_level(logging.INFO, logger="spinflux.liouville"):
+            steady_state(assemble(make_generator("redfield")))
+        [record] = [r for r in caplog.records if "LU fill" in r.getMessage()]
+        assert record.levelno == logging.INFO
+        assert "sigma_min/max|L|" in record.getMessage()
+
     def test_spectral_gap_unique_zero_mode(self):
         for variant in LINDBLAD:
             s = assemble(make_generator(variant))
@@ -227,26 +251,55 @@ class TestPropagate:
         with pytest.raises(ValueError, match="increasing"):
             propagate(s, maximally_mixed(8), np.array([1.0, 0.5]))
 
-    def test_defective_generator_logs_expm_fallback(self, caplog):
+    def test_jordan_block_matches_closed_form(self):
         # populations at rest, coherences (rho_10, rho_01) under the Jordan
         # block [[-1, 1], [0, -1]]: no eigenbasis exists
         m = np.zeros((4, 4), dtype=complex)
         m[1, 1], m[1, 2], m[2, 2] = -1.0, 1.0, -1.0
         s = Superoperator(matrix=m, dim=2, generator=None)
-        with caplog.at_level(logging.INFO, logger="spinflux.liouville"):
-            propagate(s, maximally_mixed(2), np.array([0.0, 1.0]))
-        [record] = [r for r in caplog.records if "expm" in r.getMessage()]
-        assert record.levelno == logging.INFO
-        assert "condition number" in record.getMessage()
+        rho0 = Operator(np.array([[0.5, 0.2], [0.2, 0.5]]), hermitian=True)
+        times = np.array([0.0, 0.5, 1.0, 3.0, 10.0])
+        for t, state in zip(times, propagate(s, rho0, times)):
+            rho01 = 0.2 * math.exp(-t)
+            rho10 = (0.2 + 0.2 * t) * math.exp(-t)
+            want = np.array([[0.5, rho01], [rho10, 0.5]])
+            want = 0.5 * (want + want.conj().T)  # propagate returns the hermitian part
+            assert np.abs(state.matrix - want).max() <= 1e-12
 
-    def test_expm_fallback_matches_eig_path(self):
-        from spinflux import liouville
+    def test_nonuniform_grid_matches_dense_expm(self):
         s = assemble(make_generator("redfield"))
-        times = np.linspace(0.0, 40.0, 5)
-        got_eig = liouville._propagate_eig(s, maximally_mixed(8), times)
-        got_expm = liouville._propagate_expm(s, maximally_mixed(8), times)
-        for a, b in zip(got_eig, got_expm):
-            assert np.abs(a - b).max() <= 1e-10
+        rng = np.random.default_rng(5)
+        m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        m = m @ m.conj().T
+        rho0 = Operator(m / np.trace(m), hermitian=True)
+        times = np.array([0.3, 0.6, 0.9, 5.0, 40.0, 41.0, 42.0, 100.0])
+        for t, state in zip(times, propagate(s, rho0, times)):
+            want = unvectorize(scipy.linalg.expm(s.matrix * t) @ vectorize(rho0.matrix), 8)
+            assert np.abs(state.matrix - want).max() <= 1e-10
+
+    def test_logs_runs_and_trace_drift(self, caplog):
+        s = assemble(make_generator("weak_coupling"))
+        with caplog.at_level(logging.INFO, logger="spinflux.liouville"):
+            propagate(s, maximally_mixed(8), np.linspace(0.0, 400.0, 201))
+            propagate(s, maximally_mixed(8), np.array([0.0, 1.0, 2.0, 4.0, 6.0, 7.0]))
+        records = [r for r in caplog.records if "expm_multiply" in r.getMessage()]
+        assert [r.levelno for r in records] == [logging.INFO] * 2
+        assert "1 expm_multiply run(s) over 201 points" in records[0].getMessage()
+        assert "3 expm_multiply run(s) over 6 points" in records[1].getMessage()
+        assert all("worst trace drift" in r.getMessage() for r in records)
+
+    def test_output_independent_of_global_random_state(self):
+        s = assemble(make_generator("redfield"))
+        times = np.linspace(0.0, 400.0, 21)
+        np.random.seed(1)
+        first = propagate(s, maximally_mixed(8), times)
+        after = np.random.random()
+        np.random.seed(2)
+        second = propagate(s, maximally_mixed(8), times)
+        for a, b in zip(first, second):
+            assert np.array_equal(a.matrix, b.matrix)
+        np.random.seed(1)
+        assert np.random.random() == after  # the caller's stream is left as it was
 
 
 class TestExpectationSeries:

@@ -6,11 +6,11 @@ from spinflux.bath import BathSpec
 from spinflux.chain import ChainSpec
 from spinflux.dissipators import Generator, LindbladTerms
 from spinflux.liouville import Superoperator, expectation_series, propagate
-from spinflux.mcwf import (Trajectory, _BatchKernel, _rng_for, connected_blocks,
+from spinflux.mcwf import (Trajectory, _BatchKernel, _rng_for,
                            effective_hamiltonian, evolve_trajectory,
                            run_ensemble, split_seed)
 from spinflux.observables import reported_current_operator
-from spinflux.operators import DimensionError, Operator, pauli
+from spinflux.operators import DimensionError, Operator, connected_blocks, pauli
 
 FIG_CHAIN = ChainSpec(n=3, field=1.0, exchange=0.01)
 LEFT = BathSpec(beta=0.41, coupling=0.01, side="left")

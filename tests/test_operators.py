@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinflux.operators import (DimensionError, Operator, adjoint,
-                                anticommutator, commutator, eig_hermitian,
-                                embed, identity, pauli, tensor)
+from spinflux.chain import ChainSpec, build_hamiltonian
+from spinflux.operators import (DimensionError, Operator, _fix_phases,
+                                _stable_order, adjoint, anticommutator,
+                                commutator, eig_hermitian, embed, identity,
+                                pauli, tensor)
 
 
 def random_complex(rng, d):
@@ -15,6 +17,11 @@ def random_complex(rng, d):
 def random_hermitian(rng, d):
     m = random_complex(rng, d)
     return Operator(m + m.conj().T, hermitian=True)
+
+
+def sz_sector(dim):
+    """Number of up spins of each computational basis state."""
+    return np.array([bin(k).count("1") for k in range(dim)])
 
 
 class TestPauli:
@@ -171,3 +178,26 @@ class TestEigHermitian:
         e1, e2 = eig_hermitian(a), eig_hermitian(a)
         assert np.array_equal(e1.eigenvalues, e2.eigenvalues)
         assert np.array_equal(e1.eigenvectors, e2.eigenvectors)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_chain_eigenvectors_live_in_one_sz_sector(self, n):
+        h = build_hamiltonian(ChainSpec(n=n, field=1.0, exchange=0.01))
+        eig = eig_hermitian(h)
+        sector = sz_sector(h.dim)
+        for j in range(h.dim):
+            support = np.flatnonzero(eig.eigenvectors[:, j])
+            assert len(set(sector[support])) == 1
+        want = np.linalg.eigvalsh(h.matrix)
+        assert np.abs(eig.eigenvalues - want).max() <= 1e-13
+
+    def test_single_block_matches_whole_matrix_eigh(self):
+        # a dense matrix is one block: the result is that of one eigh call on
+        # the whole matrix, bit for bit
+        rng = np.random.default_rng(21)
+        a = random_hermitian(rng, 16)
+        vals, vecs = np.linalg.eigh(a.matrix)
+        vecs = _fix_phases(vecs)
+        order = _stable_order(vals, vecs)
+        eig = eig_hermitian(a)
+        assert np.array_equal(eig.eigenvalues, vals[order])
+        assert np.array_equal(eig.eigenvectors, vecs[:, order])
