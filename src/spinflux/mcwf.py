@@ -279,12 +279,13 @@ def evolve_trajectory(h_eff: Operator, terms: LindbladTerms, psi0: np.ndarray,
     )
 
 
-def _initial_sampler(initial, dim: int):
-    """Normalize the initial-state argument into a per-trajectory sampler.
+def _initial_states(initial):
+    """Normalize the initial-state argument into ``(vectors, cum, kind)``.
 
-    Pure states (vectors) are used as-is and consume no randomness; mixed
-    density matrices are unraveled by sampling their eigenvectors with
-    probabilities given by the eigenvalues (one uniform draw per trajectory).
+    A pure state (a vector) is the one column of ``vectors``, ``cum`` is None
+    and it consumes no randomness; a mixed density matrix is unraveled by
+    sampling its eigenvectors with cumulative probabilities ``cum`` from its
+    eigenvalues (one uniform draw per trajectory).
     """
     if isinstance(initial, Operator):
         eig = eig_hermitian(initial)
@@ -292,38 +293,28 @@ def _initial_sampler(initial, dim: int):
         total = probs.sum()
         if not math.isclose(total, 1.0, rel_tol=0, abs_tol=1e-10):
             raise ValueError("mixed initial state must have unit trace")
-        probs = probs / total
-        cum = np.cumsum(probs)
-        vectors = eig.eigenvectors
-
-        def sample(rng: np.random.Generator) -> np.ndarray:
-            k = int(np.searchsorted(cum, rng.random(), side="right"))
-            return vectors[:, min(k, dim - 1)]
-
-        return sample, "mixed-eigenvector-sampling"
+        return eig.eigenvectors, np.cumsum(probs / total), "mixed-eigenvector-sampling"
 
     psi = np.asarray(initial, dtype=complex).ravel()
     if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
         raise ValueError("initial state must be normalized")
-
-    def sample(rng: np.random.Generator) -> np.ndarray:
-        return psi
-
-    return sample, "pure"
+    return psi[:, None], None, "pure"
 
 
 def _run_batch(h_eff: np.ndarray, terms: LindbladTerms, times: np.ndarray,
-               obs_mats: list, initial, master_seed: int,
-               start: int, count: int):
-    """Simulate trajectories [start, start+count) and return per-time
-    (sum, sum of squares) of every observable, reduced in trajectory order."""
-    dim = h_eff.shape[0]
+               obs_mats: list, vectors: np.ndarray, cum: np.ndarray | None,
+               master_seed: int, start: int, count: int):
+    """Simulate trajectories [start, start+count) from the initial states of
+    ``_initial_states`` and return per-time (sum, sum of squares) of every
+    observable, reduced in trajectory order."""
     kernel = _BatchKernel(h_eff, terms, times)
-    sampler, _ = _initial_sampler(initial, dim)
     rngs = [_rng_for(split_seed(master_seed, start + j)) for j in range(count)]
-    psi0 = np.empty((dim, count), dtype=complex)
-    for j, rng in enumerate(rngs):
-        psi0[:, j] = sampler(rng)
+    if cum is None:
+        picks = [0] * count
+    else:
+        picks = [min(int(np.searchsorted(cum, rng.random(), side="right")),
+                     len(cum) - 1) for rng in rngs]
+    psi0 = vectors.take(picks, axis=1)
 
     n_t = len(kernel.times)
     sums = np.zeros((len(obs_mats), n_t))
@@ -350,7 +341,7 @@ def run_ensemble(terms: LindbladTerms, initial, times: np.ndarray,
     if realizations < 1:
         raise ValueError("need at least one realization")
     h_eff = effective_hamiltonian(terms.hamiltonian, terms)
-    _, initial_kind = _initial_sampler(initial, h_eff.dim)
+    vectors, cum, initial_kind = _initial_states(initial)
     obs_names = list(observables)
     obs_mats = []
     for name in obs_names:
@@ -362,7 +353,7 @@ def run_ensemble(terms: LindbladTerms, initial, times: np.ndarray,
     if workers is None:
         workers = int(os.environ.get("SPINFLUX_WORKERS", "1"))
     starts = list(range(0, realizations, BATCH_SIZE))
-    jobs = [(h_eff.matrix, terms, times, obs_mats, initial, master_seed,
+    jobs = [(h_eff.matrix, terms, times, obs_mats, vectors, cum, master_seed,
              s, min(BATCH_SIZE, realizations - s)) for s in starts]
 
     if workers > 1 and len(jobs) > 1:

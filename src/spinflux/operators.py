@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse.csgraph
 
 MAX_DENSE_DIM = 4096
 
@@ -180,19 +181,15 @@ def adjoint(a: Operator) -> Operator:
     return a.dag()
 
 
-def connected_blocks(matrix: np.ndarray) -> list[np.ndarray]:
-    """Index sets of the connected components of the symmetrized non-zero
-    pattern of a square matrix, in order of their smallest index; the
+def connected_blocks(matrix) -> list[np.ndarray]:
+    """Index sets, ordered by smallest index, of the connected components of
+    the symmetrized non-zero pattern of a dense or sparse square matrix: the
     matrix is block diagonal on them with exactly zero off-block entries."""
-    dim = matrix.shape[0]
-    linked = (matrix != 0) | (matrix.T != 0)
-    label = np.arange(dim)
-    while True:
-        # every index takes the smallest label among itself and its neighbours
-        new = np.minimum(label, np.where(linked, label, dim).min(axis=1))
-        if np.array_equal(new, label):
-            return [np.flatnonzero(label == k) for k in np.unique(label)]
-        label = new
+    # the boolean pattern, since csgraph would cast complex values to float
+    _, labels = scipy.sparse.csgraph.connected_components(
+        scipy.sparse.csr_array(matrix != 0), connection="weak")
+    _, first = np.unique(labels, return_index=True)
+    return [np.flatnonzero(labels == labels[i]) for i in np.sort(first)]
 
 
 def eig_hermitian(a: Operator) -> EigenSystem:

@@ -13,7 +13,7 @@ from spinflux.liouville import (NULLSPACE_TOL, DegenerateSteadyStateError,
                                 expectation_series, propagate, steady_state,
                                 unvectorize, vectorize)
 from spinflux.observables import gibbs_state, trace_distance
-from spinflux.operators import DimensionError, Operator, eig_hermitian
+from spinflux.operators import DimensionError, Operator, connected_blocks, eig_hermitian
 from spinflux.chain import build_current_operator
 
 FIG_CHAIN = ChainSpec(n=3, field=1.0, exchange=0.01)
@@ -287,6 +287,52 @@ class TestPropagate:
         assert "1 expm_multiply run(s) over 201 points" in records[0].getMessage()
         assert "3 expm_multiply run(s) over 6 points" in records[1].getMessage()
         assert all("worst trace drift" in r.getMessage() for r in records)
+
+    @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    def test_occupied_components_match_dense_expm(self, variant):
+        gen = make_generator(variant, chain=ChainSpec(n=4, field=1.0, exchange=0.01))
+        s = assemble(gen)
+        ground = gen.eigensystem.eigenvectors[:, 0]
+        starts = (maximally_mixed(16),
+                  Operator(np.outer(ground, ground.conj()), hermitian=True),
+                  gibbs_state(gen.hamiltonian, 1.0))
+        times = np.array([0.0, 10.0, 20.0, 30.0, 150.0, 400.0])
+        flows = [scipy.linalg.expm(s.matrix * t) for t in times]
+        blocks = connected_blocks(s.sparse)
+        for rho0 in starts:
+            v0 = vectorize(rho0.matrix)
+            outside = np.ones(v0.size, dtype=bool)
+            for idx in blocks:
+                if v0[idx].any():
+                    outside[idx] = False
+            assert outside.any()  # no start the CLI offers fills every component
+            for flow, state in zip(flows, propagate(s, rho0, times)):
+                want = flow @ v0
+                got = vectorize(state.matrix)
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+                assert not got[outside].any()
+
+    def test_full_support_start_propagates_every_component(self):
+        s = assemble(make_generator("secular"))
+        assert len(connected_blocks(s.sparse)) == 7
+        rng = np.random.default_rng(17)
+        m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        m = m @ m.conj().T
+        rho0 = Operator(m / np.trace(m), hermitian=True)
+        assert np.all(rho0.matrix != 0)
+        times = np.array([0.5, 1.0, 1.5, 7.0, 60.0, 61.0, 62.0, 300.0])
+        for t, state in zip(times, propagate(s, rho0, times)):
+            want = unvectorize(scipy.linalg.expm(s.matrix * t) @ vectorize(rho0.matrix), 8)
+            assert np.abs(state.matrix - want).max() <= 1e-10
+
+    def test_logs_occupied_components(self, caplog):
+        s = assemble(make_generator("weak_coupling",
+                                    chain=ChainSpec(n=5, field=1.0, exchange=0.01)))
+        with caplog.at_level(logging.INFO, logger="spinflux.liouville"):
+            propagate(s, maximally_mixed(32), np.linspace(0.0, 10.0, 3))
+        records = [r for r in caplog.records if "expm_multiply" in r.getMessage()]
+        assert [r.levelno for r in records] == [logging.INFO]
+        assert "1 occupied component(s), 512 of 1024 entries" in records[0].getMessage()
 
     def test_output_independent_of_global_random_state(self):
         s = assemble(make_generator("redfield"))
