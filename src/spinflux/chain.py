@@ -21,9 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import Operator, commutator, embed, pauli, tensor
+from .operators import PAULI, Operator, embedded_sum
 
 WEAK_EXCHANGE_RATIO = 0.1
+
+# exchange pair xx + yy + zz on two neighbouring sites, summed in that order
+_PAIR = np.zeros((4, 4), dtype=complex)
+for _kind in ("x", "y", "z"):
+    _PAIR += np.kron(PAULI[_kind], PAULI[_kind])
+_PAIR.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -64,56 +70,68 @@ def _check_bond(spec: ChainSpec, bond: int) -> None:
         raise ValueError(f"bond {bond} out of range 1..{spec.n - 1}")
 
 
+def _field_terms(spec: ChainSpec, sites) -> list:
+    return [(site, 0.5 * spec.field * PAULI["z"]) for site in sites]
+
+
+def _bond_terms(spec: ChainSpec, bonds) -> list:
+    return [(bond, spec.exchange * _PAIR) for bond in bonds]
+
+
 def build_local_hamiltonian_site(spec: ChainSpec, site: int) -> Operator:
     """(field/2) sigma_z at one site, embedded in the full chain."""
     _check_site(spec, site)
-    return 0.5 * spec.field * embed(pauli("z"), site, spec.n)
+    return Operator(embedded_sum(_field_terms(spec, [site]), spec.n), hermitian=True)
 
 
 def build_local_hamiltonian(spec: ChainSpec) -> Operator:
     """Sum of the per-site field terms."""
-    total = build_local_hamiltonian_site(spec, 1)
-    for site in range(2, spec.n + 1):
-        total = total + build_local_hamiltonian_site(spec, site)
-    return total
+    return Operator(embedded_sum(_field_terms(spec, range(1, spec.n + 1)), spec.n),
+                    hermitian=True)
 
 
 def build_bond(spec: ChainSpec, bond: int) -> Operator:
     """Exchange term on one bond: exchange * (xx + yy + zz) on sites (bond, bond+1)."""
     _check_bond(spec, bond)
-    pair = np.zeros((4, 4), dtype=complex)
-    for kind in ("x", "y", "z"):
-        p = pauli(kind)
-        pair += tensor(p, p).matrix
-    return spec.exchange * embed(Operator(pair, hermitian=True), bond, spec.n)
+    return Operator(embedded_sum(_bond_terms(spec, [bond]), spec.n), hermitian=True)
 
 
 def build_interaction(spec: ChainSpec) -> Operator:
     """Isotropic nearest-neighbor exchange over all bonds."""
-    total = build_bond(spec, 1)
-    for bond in range(2, spec.n):
-        total = total + build_bond(spec, bond)
-    return total
+    return Operator(embedded_sum(_bond_terms(spec, range(1, spec.n)), spec.n),
+                    hermitian=True)
 
 
 def build_hamiltonian(spec: ChainSpec) -> Operator:
-    return build_local_hamiltonian(spec) + build_interaction(spec)
+    """H_loc + V, each summed in site (bond) order before the two are added."""
+    h = embedded_sum(_field_terms(spec, range(1, spec.n + 1)), spec.n)
+    h += embedded_sum(_bond_terms(spec, range(1, spec.n)), spec.n)
+    return Operator(h, hermitian=True)
 
 
-def build_current_operator(spec: ChainSpec, bond: int) -> Operator:
-    """Energy-current operator for one bond: i [V(bond), H_loc(bond)]."""
+def build_current_operator(spec: ChainSpec, bond: int, sign: float = 1.0) -> Operator:
+    """Energy-current operator for one bond, ``sign * i [V(bond), H_loc(bond)]``.
+
+    The commutator is taken on the two sites of the bond (4x4) and embedded
+    once; ``sign`` is applied to the block before it is embedded.
+    """
     _check_bond(spec, bond)
-    j = 1j * commutator(build_bond(spec, bond),
-                        build_local_hamiltonian_site(spec, bond)).matrix
-    return Operator(j, hermitian=True)
+    v = spec.exchange * _PAIR
+    h = np.kron(0.5 * spec.field * PAULI["z"], PAULI["identity"])
+    block = 1j * (v @ h - h @ v)
+    return Operator(embedded_sum([(bond, block * sign)], spec.n), hermitian=True)
+
+
+def contact_site(spec: ChainSpec, side: str) -> int:
+    """The site a bath attaches to: 1 on the left, n on the right."""
+    if side == "left":
+        return 1
+    if side == "right":
+        return spec.n
+    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
 def build_coupling_operator(spec: ChainSpec, side: str) -> Operator:
     """Contact operator sigma_x at the first (left) or last (right) site."""
-    if side == "left":
-        site = 1
-    elif side == "right":
-        site = spec.n
-    else:
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    return embed(pauli("x"), site, spec.n)
+    site = contact_site(spec, side)
+    return Operator(embedded_sum([(site, PAULI["x"])], spec.n), hermitian=True)

@@ -19,7 +19,8 @@ compare) are byte-stable at a fixed thread count and record it as
 ``blas_threads``.
 
 Exit codes: 0 success, 2 configuration error, 3 solver failure (including a
-chain too long for dense Liouville algebra).
+chain too long for dense Liouville algebra, and a trajectory ensemble whose
+dense matrices would not fit in the memory available).
 """
 
 from __future__ import annotations
@@ -37,9 +38,9 @@ from . import __version__
 from .config import ConfigError, RunConfig, config_hash, parse_config, with_overrides
 from .chain import build_hamiltonian, build_local_hamiltonian_site
 from .dissipators import Generator, VariantError
-from .liouville import (SolverError, Superoperator, assemble, propagate,
-                        steady_state)
-from .mcwf import NormCollapseError, run_ensemble
+from .liouville import (SolverError, Superoperator, assemble,
+                        expectation_series, propagate, steady_state)
+from .mcwf import NormCollapseError, check_memory, run_ensemble
 from .observables import diagonality_defect, gibbs_state, reported_current_operator
 from .operators import DimensionError, Operator, eig_hermitian
 
@@ -162,6 +163,9 @@ def run(config: RunConfig) -> None:
         return
 
     times = _time_grid(config)
+    if config.mode in ("mcwf", "compare"):
+        # the observables below: one current per bond, one energy per site
+        check_memory(config.chain.dim, 2 * config.chain.n - 1)
     observables = _observables(config)
     names = list(observables)
     rho0 = _initial_density(config)
@@ -169,9 +173,8 @@ def run(config: RunConfig) -> None:
     if config.mode == "evolve":
         gen = _generator(config)
         states = propagate(assemble(gen), rho0, times)
-        columns = [times] + [
-            np.array([np.trace(s.matrix @ observables[n].matrix).real
-                      for s in states]) for n in names]
+        columns = [times] + [expectation_series(states, observables[n])
+                             for n in names]
         _write_csv(out / "series.csv", provenance, ["time"] + names, columns)
         return
 
@@ -217,8 +220,7 @@ def _exact_payloads(config: RunConfig, gen: Generator, rho0: Operator,
     holds at most one at a time."""
     s = assemble(gen)
     states = propagate(s, rho0, times)
-    series = np.array([np.trace(st.matrix @ current.matrix).real for st in states])
-    return series, _steady_payload(config, s)
+    return expectation_series(states, current), _steady_payload(config, s)
 
 
 def _write_error(config: RunConfig | None, out_dir: str | None,

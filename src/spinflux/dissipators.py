@@ -43,8 +43,9 @@ from functools import cached_property
 import numpy as np
 
 from .bath import BathSpec, rate, spectral_density
-from .chain import ChainSpec, build_coupling_operator, build_hamiltonian
-from .operators import EigenSystem, Operator, eig_hermitian
+from .chain import (ChainSpec, build_coupling_operator, build_hamiltonian,
+                    contact_site)
+from .operators import PAULI, EigenSystem, Operator, eig_hermitian, embedded_sum
 
 VARIANTS = ("redfield", "secular", "weak_coupling", "local_diag")
 LINDBLAD_VARIANTS = ("secular", "weak_coupling", "local_diag")
@@ -380,11 +381,9 @@ def secular_terms_for_bath(eigset: EigenOperatorSet, bath: BathSpec) -> list:
 
 
 def _local_flip_operators(chain: ChainSpec, side: str) -> tuple[np.ndarray, np.ndarray]:
-    from .operators import embed, pauli
-    site = 1 if side == "left" else chain.n
-    up = embed(pauli("plus"), site, chain.n).matrix
-    down = embed(pauli("minus"), site, chain.n).matrix
-    return up, down
+    site = contact_site(chain, side)
+    return tuple(embedded_sum([(site, PAULI[kind])], chain.n)
+                 for kind in ("plus", "minus"))
 
 
 def _weak_coupling_jump(chain: ChainSpec, bath: BathSpec) -> tuple[float, np.ndarray]:
@@ -396,9 +395,10 @@ def _weak_coupling_jump(chain: ChainSpec, bath: BathSpec) -> tuple[float, np.nda
     """
     g = gamma_matrix(bath, chain.field).matrix
     alpha = g[0, 0] + g[1, 1]
-    up, down = _local_flip_operators(chain, bath.side)
+    site = contact_site(chain, bath.side)
     if alpha == 0.0:
-        return 0.0, down
+        return 0.0, embedded_sum([(site, PAULI["minus"])], chain.n)
     u1 = math.sqrt(g[0, 0] / alpha)
     u2 = math.sqrt(g[1, 1] / alpha)
-    return alpha, u1 * up + u2 * down
+    return alpha, embedded_sum([(site, u1 * PAULI["plus"] + u2 * PAULI["minus"])],
+                               chain.n)

@@ -7,8 +7,9 @@ segment and a jump fires when the decaying squared norm crosses it.  The jump
 channel is selected with probability proportional to rate * |L psi|^2.
 
 H_eff splits into the connected blocks of its non-zero pattern (for the
-chain, the total-S_z sectors).  Each block is diagonalized once per batch,
-so between events a state is advanced in closed form, ``c <- exp(-i Lambda
+chain, the total-S_z sectors).  Each block is diagonalized once per
+ensemble, and every batch (in any worker process) shares the result, so
+between events a state is advanced in closed form, ``c <- exp(-i Lambda
 dt) c`` in eigen-coordinates, and its squared norm ``c^dag G c`` (with ``G =
 V^dag V``) is known at every time together with its derivative ``-c^dag W
 c`` (``W = V^dag i(H_eff - H_eff^dag) V``, positive semidefinite).  Each jump
@@ -16,7 +17,14 @@ time is the root of the monotone norm minus the threshold, found by a
 bracketed, safeguarded Newton iteration to ``JUMP_TIME_RTOL``; the sampler
 has no time-step bias.  A block whose eigenvector matrix is worse
 conditioned than ``EIGVEC_CONDITION_LIMIT`` (near an exceptional point) is
-advanced with ``scipy.linalg.expm`` of the block instead, in the same loop.
+advanced with ``scipy.linalg.expm`` of the block instead, one stacked call
+per advance for all columns.  The stacked jump operators and the observables
+are applied as CSR matrices: a chain jump or bond current has at most one
+non-zero per row.
+
+Before it allocates, ``run_ensemble`` checks that the dense matrices it is
+about to hold fit in the physical memory available now, and raises
+``DimensionError`` if they do not.
 
 Reproducibility contract: trajectory ``r`` of a run with master seed ``m``
 draws from a private Philox stream keyed by the 128-bit integer
@@ -37,6 +45,7 @@ from typing import Mapping
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .dissipators import LindbladTerms
 from .operators import DimensionError, Operator, connected_blocks, eig_hermitian
@@ -46,11 +55,33 @@ BATCH_SIZE = 256
 EIGVEC_CONDITION_LIMIT = 1e4
 JUMP_TIME_RTOL = 1e-12
 MAX_ROOT_ITERATIONS = 100
+KERNEL_DENSE_MATRICES = 4  # V, V^-1, gram and decay
 _MASK64 = (1 << 64) - 1
 
 
 class NormCollapseError(RuntimeError):
     """The unnormalized state norm fell below the representable floor."""
+
+
+def available_memory() -> int | None:
+    """Bytes of physical memory available now, or None where the operating
+    system does not report it."""
+    try:
+        return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, OSError, ValueError):
+        return None
+
+
+def check_memory(dim: int, observables: int) -> None:
+    """Raise ``DimensionError`` unless ``observables`` dense ``dim x dim``
+    observables plus the kernel's dense matrices fit in available memory."""
+    need = (observables + KERNEL_DENSE_MATRICES) * 16 * dim * dim
+    free = available_memory()
+    if free is not None and need > free:
+        raise DimensionError(
+            f"a trajectory ensemble at dimension {dim} with {observables} "
+            f"observable(s) needs {need / 2**20:.0f} MiB of dense matrices, "
+            f"more than the {free / 2**20:.0f} MiB of memory available")
 
 
 def split_seed(master_seed: int, index: int) -> int:
@@ -113,7 +144,9 @@ class _BatchKernel:
             raise ValueError("times must be a non-empty strictly increasing grid")
         self.dim = dim = h_eff.shape[0]
         self.rates = np.array(terms.rates)
-        self.stacked = np.array(terms.jumps, dtype=complex).reshape(-1, dim)
+        jumps = [scipy.sparse.csr_array(L) for L in terms.jumps]
+        self.stacked = (scipy.sparse.vstack(jumps, format="csr") if jumps
+                        else scipy.sparse.csr_array((0, dim), dtype=complex))
         decay = 1j * (h_eff - h_eff.conj().T)
         self.eigenvalues = np.zeros(dim, dtype=complex)
         self.v = np.zeros((dim, dim), dtype=complex)
@@ -134,28 +167,27 @@ class _BatchKernel:
         self.gram = self.v.conj().T @ self.v
         self.decay = self.v.conj().T @ decay @ self.v
 
-    def run(self, psi0: np.ndarray, rngs: list, record: bool = False):
+    def run(self, psi0: np.ndarray, rngs: list, jump_log: list | None = None):
         """Propagate a batch (columns of psi0) along the grid.
 
         Yields the normalized batch state at every grid time, in order.  When
-        ``record`` is true, per-column jump events are appended to
-        ``self.jump_log`` as (time, channel) lists.
+        ``jump_log`` is given (one list per column), each column's jump
+        events are appended to its list as (time, channel) pairs.
         """
         psi = np.array(psi0, dtype=complex)
         if psi.ndim == 1:
             psi = psi[:, None]
         thresholds = np.array([rng.random() for rng in rngs])
-        self.jump_log = [[] for _ in range(psi.shape[1])] if record else None
 
         x = self.v_inv @ psi
         yield psi / np.sqrt(np.einsum("ij,ij->j", psi.conj(), psi).real)
         for t, t_next in zip(self.times[:-1], self.times[1:]):
-            self._interval(x, t, t_next, rngs, thresholds)
+            self._interval(x, t, t_next, rngs, thresholds, jump_log)
             psi = self.v @ x
             yield psi / np.sqrt(np.einsum("ij,ij->j", psi.conj(), psi).real)
 
     def _interval(self, x: np.ndarray, t: float, t_next: float, rngs: list,
-                  thresholds: np.ndarray) -> None:
+                  thresholds: np.ndarray, jump_log: list | None) -> None:
         """Advance every column of ``x`` in place from ``t`` to ``t_next``,
         firing the jumps on the way."""
         start = np.full(x.shape[1], t)
@@ -180,16 +212,14 @@ class _BatchKernel:
                                       JUMP_TIME_RTOL * max(abs(t), abs(t_next)))
             start[active] += tau
             x[:, active] = self._jump(self._advance(seg, tau), active,
-                                      start[active], rngs, thresholds)
+                                      start[active], rngs, thresholds, jump_log)
 
     def _advance(self, x: np.ndarray, dt: np.ndarray) -> np.ndarray:
         """Coordinates of each column of ``x`` after its own time ``dt``."""
         out = np.exp(np.multiply.outer(-1j * self.eigenvalues, dt)) * x
         for idx, block in self.expm_blocks:
-            for step in np.unique(dt):
-                cols = np.flatnonzero(dt == step)
-                out[np.ix_(idx, cols)] = (scipy.linalg.expm(-1j * step * block)
-                                          @ x[np.ix_(idx, cols)])
+            flows = scipy.linalg.expm(-1j * dt[:, None, None] * block)
+            out[idx] = np.einsum("jab,bj->aj", flows, x[idx])
         return out
 
     def _norm2(self, x: np.ndarray) -> np.ndarray:
@@ -233,7 +263,8 @@ class _BatchKernel:
         return tau
 
     def _jump(self, x: np.ndarray, cols: np.ndarray, times: np.ndarray,
-              rngs: list, thresholds: np.ndarray) -> np.ndarray:
+              rngs: list, thresholds: np.ndarray,
+              jump_log: list | None) -> np.ndarray:
         """Apply one jump to each column of ``x``; return the normalized
         post-jump coordinates.  Each column draws its channel and then its
         next threshold from its own stream."""
@@ -252,9 +283,9 @@ class _BatchKernel:
         thresholds[cols] = draws[:, 1]
         new = branches[channels, :, np.arange(len(cols))].T
         new /= np.linalg.norm(new, axis=0)
-        if self.jump_log is not None:
+        if jump_log is not None:
             for j, t, channel in zip(cols, times, channels):
-                self.jump_log[j].append((float(t), int(channel)))
+                jump_log[j].append((float(t), int(channel)))
         return self.v_inv @ new
 
 
@@ -268,8 +299,9 @@ def evolve_trajectory(h_eff: Operator, terms: LindbladTerms, psi0: np.ndarray,
         raise DimensionError(f"state dim {psi0.shape[0]} != hamiltonian dim {h_eff.dim}")
     kernel = _BatchKernel(h_eff.matrix, terms, times)
     rng = _rng_for(seed)
-    states = [batch[:, 0].copy() for batch in kernel.run(psi0, [rng], record=True)]
-    events = kernel.jump_log[0]
+    jump_log = [[]]
+    states = [batch[:, 0].copy() for batch in kernel.run(psi0, [rng], jump_log)]
+    events = jump_log[0]
     return Trajectory(
         seed=seed,
         times=kernel.times,
@@ -301,13 +333,11 @@ def _initial_states(initial):
     return psi[:, None], None, "pure"
 
 
-def _run_batch(h_eff: np.ndarray, terms: LindbladTerms, times: np.ndarray,
-               obs_mats: list, vectors: np.ndarray, cum: np.ndarray | None,
-               master_seed: int, start: int, count: int):
+def _run_batch(kernel: _BatchKernel, obs_mats: list, vectors: np.ndarray,
+               cum: np.ndarray | None, master_seed: int, start: int, count: int):
     """Simulate trajectories [start, start+count) from the initial states of
     ``_initial_states`` and return per-time (sum, sum of squares) of every
     observable, reduced in trajectory order."""
-    kernel = _BatchKernel(h_eff, terms, times)
     rngs = [_rng_for(split_seed(master_seed, start + j)) for j in range(count)]
     if cum is None:
         picks = [0] * count
@@ -336,31 +366,34 @@ def run_ensemble(terms: LindbladTerms, initial, times: np.ndarray,
     ``initial`` is either a normalized state vector or a density-matrix
     Operator.  ``workers`` > 1 fans fixed-size batches out to processes; it
     defaults to the SPINFLUX_WORKERS environment variable (or 1) and never
-    changes the result bits.
+    changes the result bits.  One kernel serves every batch.
     """
     if realizations < 1:
         raise ValueError("need at least one realization")
+    dim = terms.hamiltonian.dim
+    for name, op in observables.items():
+        if op.dim != dim:
+            raise DimensionError(f"observable {name!r} dim {op.dim} != {dim}")
+    check_memory(dim, len(observables))
     h_eff = effective_hamiltonian(terms.hamiltonian, terms)
     vectors, cum, initial_kind = _initial_states(initial)
     obs_names = list(observables)
-    obs_mats = []
-    for name in obs_names:
-        op = observables[name]
-        if op.dim != h_eff.dim:
-            raise DimensionError(f"observable {name!r} dim {op.dim} != {h_eff.dim}")
-        obs_mats.append(op.matrix)
+    obs_mats = [scipy.sparse.csr_array(observables[name].matrix)
+                for name in obs_names]
 
     if workers is None:
         workers = int(os.environ.get("SPINFLUX_WORKERS", "1"))
-    starts = list(range(0, realizations, BATCH_SIZE))
-    jobs = [(h_eff.matrix, terms, times, obs_mats, vectors, cum, master_seed,
-             s, min(BATCH_SIZE, realizations - s)) for s in starts]
+    batch_args = (_BatchKernel(h_eff.matrix, terms, times), obs_mats, vectors,
+                  cum, master_seed)
+    spans = [(s, min(BATCH_SIZE, realizations - s))
+             for s in range(0, realizations, BATCH_SIZE)]
 
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(_run_batch_star, jobs))
+    if workers > 1 and len(spans) > 1:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                                 initargs=(batch_args,)) as pool:
+            partials = list(pool.map(_run_worker_batch, spans))
     else:
-        partials = [_run_batch(*job) for job in jobs]
+        partials = [_run_batch(*batch_args, *span) for span in spans]
 
     n_t = len(np.asarray(times))
     sums = np.zeros((len(obs_mats), n_t))
@@ -392,5 +425,15 @@ def run_ensemble(terms: LindbladTerms, initial, times: np.ndarray,
     )
 
 
-def _run_batch_star(args):
-    return _run_batch(*args)
+_worker_batch_args = None
+
+
+def _init_worker(batch_args: tuple) -> None:
+    """Keep the ensemble's kernel and observables for every batch this
+    worker process runs."""
+    global _worker_batch_args
+    _worker_batch_args = batch_args
+
+
+def _run_worker_batch(span: tuple) -> tuple:
+    return _run_batch(*_worker_batch_args, *span)

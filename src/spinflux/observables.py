@@ -41,7 +41,7 @@ REPORTED_CURRENT_SIGN = -1.0
 
 def reported_current_operator(spec: ChainSpec, bond: int) -> Operator:
     """Bond-current observable in the reporting sign convention."""
-    return REPORTED_CURRENT_SIGN * build_current_operator(spec, bond)
+    return build_current_operator(spec, bond, sign=REPORTED_CURRENT_SIGN)
 
 
 def _real_expectation(rho: Operator, obs: Operator, label: str) -> float:

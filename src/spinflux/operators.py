@@ -4,6 +4,12 @@ Operators are immutable dense complex matrices.  Everything in this package
 works at chain lengths where dense storage is comfortable; ``MAX_DENSE_DIM``
 caps the Hilbert-space dimension (2**12) so a mis-configured chain fails fast
 instead of thrashing.
+
+Chain operators are sums of one-site (2x2) and two-site (4x4) blocks.
+``embedded_sum`` adds each block straight into one preallocated array
+through a strided view, so no identity factor, Kronecker product or
+intermediate ``Operator`` is formed, and the caller verifies hermiticity
+once, on the finished matrix.
 """
 
 from __future__ import annotations
@@ -111,7 +117,7 @@ class EigenSystem:
         return self.eigenvalues.shape[0]
 
 
-_PAULI = {
+PAULI = {
     "identity": np.eye(2, dtype=complex),
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
     "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
@@ -119,14 +125,16 @@ _PAULI = {
     "plus": np.array([[0, 1], [0, 0]], dtype=complex),
     "minus": np.array([[0, 0], [1, 0]], dtype=complex),
 }
+for _m in PAULI.values():
+    _m.flags.writeable = False
 
 
 def pauli(kind: str) -> Operator:
     """Single-spin Pauli operator; ``plus``/``minus`` are (x ± i y)/2."""
     try:
-        m = _PAULI[kind]
+        m = PAULI[kind]
     except KeyError:
-        raise ValueError(f"unknown pauli kind {kind!r}; choose from {sorted(_PAULI)}")
+        raise ValueError(f"unknown pauli kind {kind!r}; choose from {sorted(PAULI)}")
     return Operator(m, hermitian=kind in ("identity", "x", "y", "z"))
 
 
@@ -151,20 +159,42 @@ def embed(op: Operator, site: int, n: int) -> Operator:
 
     Sites are 1-based.  A dim-4 operator acts on sites (site, site+1).
     """
-    if op.dim == 2:
-        span = 1
-    elif op.dim == 4:
-        span = 2
-    else:
-        raise DimensionError(f"embed expects a dim-2 or dim-4 operator, got dim {op.dim}")
-    if not 1 <= site <= n - span + 1:
-        raise ValueError(f"site {site} out of range for span-{span} operator on {n} sites")
+    return Operator(embedded_sum([(site, op.matrix)], n), hermitian=op.hermitian)
+
+
+def embedded_sum(blocks, n: int) -> np.ndarray:
+    """Dense ``2**n x 2**n`` sum of local blocks, added in the order given.
+
+    Each ``(site, block)`` pair is a 2x2 block on ``site`` or a 4x4 block on
+    sites (site, site+1), 1-based, and acts as the identity elsewhere.  The
+    blocks go straight into one zeroed array, so the result equals the sum of
+    ``kron(kron(1, block), 1)`` in the same order entry for entry.
+    """
     if 2 ** n > MAX_DENSE_DIM:
         raise DimensionError(f"chain of {n} sites exceeds dense cap {MAX_DENSE_DIM}")
-    left = np.eye(2 ** (site - 1), dtype=complex)
-    right = np.eye(2 ** (n - site - span + 1), dtype=complex)
-    m = np.kron(np.kron(left, op.matrix), right)
-    return Operator(m, hermitian=op.hermitian)
+    out = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    for site, block in blocks:
+        k = block.shape[0]
+        if block.shape != (k, k) or k not in (2, 4):
+            raise DimensionError(f"embed expects a dim-2 or dim-4 operator, "
+                                 f"got shape {block.shape}")
+        span = k.bit_length() - 1
+        if not 1 <= site <= n - span + 1:
+            raise ValueError(f"site {site} out of range for span-{span} "
+                             f"operator on {n} sites")
+        view = _local_view(out, 2 ** (site - 1), k, 2 ** (n - site - span + 1))
+        view += block[None, :, None, :]
+    return out
+
+
+def _local_view(m: np.ndarray, left: int, k: int, right: int) -> np.ndarray:
+    """Writable view ``v[i, p, j, q] = m[(i, p, j), (i, q, j)]`` of a
+    ``(left*k*right)``-square array: the k x k block that a local operator
+    fills for each state ``(i, j)`` of the sites it does not act on."""
+    s = m.reshape(left, k, right, left, k, right).strides
+    return np.lib.stride_tricks.as_strided(
+        m, shape=(left, k, right, k),
+        strides=(s[0] + s[3], s[1], s[2] + s[5], s[4]), writeable=True)
 
 
 def commutator(a: Operator, b: Operator) -> Operator:

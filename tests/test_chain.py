@@ -5,7 +5,11 @@ from spinflux.chain import (ChainSpec, build_bond, build_coupling_operator,
                             build_current_operator, build_hamiltonian,
                             build_interaction, build_local_hamiltonian,
                             build_local_hamiltonian_site)
-from spinflux.operators import commutator, eig_hermitian, embed, pauli
+from spinflux.bath import BathSpec
+from spinflux.dissipators import Generator, _local_flip_operators
+from spinflux.observables import reported_current_operator
+from spinflux.operators import (DimensionError, Operator, commutator,
+                                eig_hermitian, embed, pauli)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -199,3 +203,83 @@ class TestCouplingOperator:
         spec = ChainSpec(n=2, field=1.0, exchange=0.0)
         with pytest.raises(ValueError, match="side"):
             build_coupling_operator(spec, "top")
+
+
+def kron_embed(m, site, n):
+    """Reference embedding: identity factors and np.kron."""
+    span = 1 if m.shape[0] == 2 else 2
+    left = np.eye(2 ** (site - 1), dtype=complex)
+    right = np.eye(2 ** (n - site - span + 1), dtype=complex)
+    return np.kron(np.kron(left, m), right)
+
+
+def kron_builders(n, field, exchange):
+    """Every chain operator from full-size kron factors, summed in site
+    (bond) order, with the d^3 commutator for the bond currents."""
+    sites = [0.5 * field * kron_embed(SZ, s, n) for s in range(1, n + 1)]
+    pair = np.zeros((4, 4), dtype=complex)
+    for p in (SX, SY, SZ):
+        pair += np.kron(p, p)
+    bonds = [exchange * kron_embed(pair, b, n) for b in range(1, n)]
+    h_loc, v = sites[0], bonds[0]
+    for term in sites[1:]:
+        h_loc = h_loc + term
+    for term in bonds[1:]:
+        v = v + term
+    currents = [1j * (bonds[b] @ sites[b] - sites[b] @ bonds[b]) for b in range(n - 1)]
+    plus = np.array([[0, 1], [0, 0]], dtype=complex)
+    return {
+        "hamiltonian": h_loc + v,
+        "sites": sites,
+        "currents": currents,
+        "reported": [-1.0 * j for j in currents],
+        "contacts": [kron_embed(SX, 1, n), kron_embed(SX, n, n)],
+        "flips": [kron_embed(m, s, n) for s in (1, n) for m in (plus, plus.T)],
+    }
+
+
+class TestBuildersMatchKronReference:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_bit_identical(self, n):
+        spec = ChainSpec(n=n, field=1.0, exchange=0.01)
+        want = kron_builders(n, spec.field, spec.exchange)
+        assert np.array_equal(build_hamiltonian(spec).matrix, want["hamiltonian"])
+        for s in range(1, n + 1):
+            assert np.array_equal(build_local_hamiltonian_site(spec, s).matrix,
+                                  want["sites"][s - 1])
+        for b in range(1, n):
+            assert np.array_equal(build_current_operator(spec, b).matrix,
+                                  want["currents"][b - 1])
+            assert np.array_equal(reported_current_operator(spec, b).matrix,
+                                  want["reported"][b - 1])
+        contacts = [build_coupling_operator(spec, side).matrix
+                    for side in ("left", "right")]
+        flips = [m for side in ("left", "right")
+                 for m in _local_flip_operators(spec, side)]
+        for got, ref in zip(contacts + flips, want["contacts"] + want["flips"]):
+            assert np.array_equal(got, ref)
+
+    def test_one_hermiticity_check_per_returned_operator(self, monkeypatch):
+        checked = []
+        original = Operator.__post_init__
+
+        def counting(self):
+            if self.hermitian:
+                checked.append(self.dim)
+            original(self)
+
+        monkeypatch.setattr(Operator, "__post_init__", counting)
+        spec = ChainSpec(n=6, field=1.0, exchange=0.01)
+        gen = Generator("weak_coupling", spec,
+                        BathSpec(beta=0.41, coupling=0.01, side="left"),
+                        BathSpec(beta=1.39, coupling=0.01, side="right"))
+        currents = [reported_current_operator(spec, b) for b in range(1, 6)]
+        returned = [gen.hamiltonian, *gen.coupling_operators, *currents]
+        assert len(checked) <= len(returned) == 8
+
+    def test_dense_cap_refuses_thirteen_sites(self):
+        spec = ChainSpec(n=13, field=1.0, exchange=0.01)
+        for build in (build_hamiltonian, lambda s: build_current_operator(s, 1),
+                      lambda s: build_coupling_operator(s, "left")):
+            with pytest.raises(DimensionError, match="dense cap"):
+                build(spec)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from spinflux import cli
+from spinflux import cli, mcwf
 from spinflux.cli import main
 
 BASE = """\
@@ -177,6 +177,17 @@ class TestFailureModes:
         record = json.loads((out / "error.json").read_text())
         assert record["error"] == "DimensionError"
         assert record["exit_code"] == 3
+
+    def test_mcwf_memory_preflight_exit_code_and_record(self, tmp_path, monkeypatch):
+        # 5 observables + 4 kernel matrices at d = 8 need 9216 bytes
+        monkeypatch.setattr(mcwf, "available_memory", lambda: 9215)
+        cfg = write_config(tmp_path, BASE + "mode = mcwf\nvariant = weak_coupling\n")
+        out = tmp_path / "o"
+        assert main(["run", str(cfg), "--out", str(out)]) == 3
+        record = json.loads((out / "error.json").read_text())
+        assert record["error"] == "DimensionError"
+        assert record["exit_code"] == 3
+        assert not (out / "mcwf.csv").exists()
 
     def test_flag_overrides_apply(self, tmp_path):
         cfg = write_config(tmp_path, BASE + "mode = steady\nvariant = redfield\n")

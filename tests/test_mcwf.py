@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from spinflux import mcwf
 from spinflux.bath import BathSpec
 from spinflux.chain import ChainSpec
 from spinflux.dissipators import Generator, LindbladTerms
@@ -122,9 +123,10 @@ class TestTrajectory:
         kernel = _BatchKernel(h_eff, terms, np.array([0.0, 14.0]))
         rngs = [_rng_for(split_seed(2030, r)) for r in range(count)]
         psi0 = np.tile(EXCITED[:, None], (1, count))
-        for _ in kernel.run(psi0, rngs, record=True):
+        jump_log = [[] for _ in range(count)]
+        for _ in kernel.run(psi0, rngs, jump_log):
             pass
-        first = np.array([events[0][0] for events in kernel.jump_log if events])
+        first = np.array([events[0][0] for events in jump_log if events])
         assert first.size >= count - 5  # censoring beyond t=14 is ~e^-14
         stat = scipy.stats.kstest(first, "expon").statistic
         critical = 1.6276 / np.sqrt(first.size)  # 1% point of the KS statistic
@@ -252,6 +254,30 @@ class TestEnsemble:
         with pytest.raises(ValueError, match="realization"):
             run_ensemble(damping_terms(), EXCITED, np.array([0.0, 1.0]),
                          {"sz": pauli("z")}, realizations=0, master_seed=1)
+
+    def test_one_kernel_per_ensemble(self, monkeypatch):
+        # every kernel build splits H_eff once; 600 realizations are 3 batches
+        calls = []
+        monkeypatch.setattr(mcwf, "connected_blocks",
+                            lambda m: calls.append(1) or connected_blocks(m))
+        gen = Generator("weak_coupling", FIG_CHAIN, LEFT, RIGHT)
+        rho0 = Operator(np.eye(8, dtype=complex) / 8, hermitian=True)
+        run_ensemble(gen.lindblad_terms(), rho0, np.linspace(0.0, 20.0, 3),
+                     {"j": reported_current_operator(FIG_CHAIN, 1)},
+                     realizations=600, master_seed=5, workers=1)
+        assert len(calls) == 1
+
+    def test_memory_preflight_refuses_before_allocating(self, monkeypatch):
+        # (1 observable + 4 kernel matrices) * 16 bytes * 2 * 2 = 320 bytes
+        monkeypatch.setattr(mcwf, "available_memory", lambda: 319)
+        with pytest.raises(DimensionError, match="memory available"):
+            run_ensemble(damping_terms(), EXCITED, np.array([0.0, 1.0]),
+                         {"sz": pauli("z")}, realizations=1, master_seed=1)
+
+    def test_memory_preflight_passes_when_memory_suffices(self, monkeypatch):
+        monkeypatch.setattr(mcwf, "available_memory", lambda: 320)
+        run_ensemble(damping_terms(), EXCITED, np.array([0.0, 1.0]),
+                     {"sz": pauli("z")}, realizations=1, master_seed=1)
 
     def test_result_reproducible(self):
         terms = damping_terms()
