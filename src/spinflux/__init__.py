@@ -11,8 +11,7 @@ __version__ = "0.1.0"
 from .bath import BathSpec, planck, rate, spectral_density
 from .chain import (ChainSpec, build_coupling_operator, build_current_operator,
                     build_hamiltonian, build_interaction,
-                    build_local_hamiltonian, build_local_hamiltonian_site,
-                    build_bond)
+                    build_local_hamiltonian, build_local_hamiltonian_site)
 from .config import ConfigError, RunConfig, parse_config, serialize_config
 from .dissipators import (EigenOperatorSet, GammaMatrix, Generator,
                           LindbladTerms, VariantError, bohr_decompose,
@@ -26,6 +25,4 @@ from .mcwf import (NormCollapseError, Trajectory, TrajectoryEnsembleResult,
 from .observables import (TransportReport, bond_currents, diagonality_defect,
                           gibbs_state, local_energies, reported_current_operator,
                           trace_distance, transport_report)
-from .operators import (DimensionError, EigenSystem, Operator, adjoint,
-                        anticommutator, commutator, eig_hermitian, embed,
-                        identity, pauli, tensor)
+from .operators import DimensionError, EigenSystem, Operator, eig_hermitian, pauli

@@ -90,12 +90,6 @@ def build_local_hamiltonian(spec: ChainSpec) -> Operator:
                     hermitian=True)
 
 
-def build_bond(spec: ChainSpec, bond: int) -> Operator:
-    """Exchange term on one bond: exchange * (xx + yy + zz) on sites (bond, bond+1)."""
-    _check_bond(spec, bond)
-    return Operator(embedded_sum(_bond_terms(spec, [bond]), spec.n), hermitian=True)
-
-
 def build_interaction(spec: ChainSpec) -> Operator:
     """Isotropic nearest-neighbor exchange over all bonds."""
     return Operator(embedded_sum(_bond_terms(spec, range(1, spec.n)), spec.n),

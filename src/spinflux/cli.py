@@ -19,8 +19,9 @@ compare) are byte-stable at a fixed thread count and record it as
 ``blas_threads``.
 
 Exit codes: 0 success, 2 configuration error, 3 solver failure (including a
-chain too long for dense Liouville algebra, and a trajectory ensemble whose
-dense matrices would not fit in the memory available).
+chain too long for dense Liouville algebra, and a trajectory ensemble or a
+Bohr decomposition whose dense matrices would not fit in the memory
+available).
 """
 
 from __future__ import annotations
@@ -163,35 +164,34 @@ def run(config: RunConfig) -> None:
         return
 
     times = _time_grid(config)
-    if config.mode in ("mcwf", "compare"):
+    if config.mode == "mcwf":
         # the observables below: one current per bond, one energy per site
         check_memory(config.chain.dim, 2 * config.chain.n - 1)
-    observables = _observables(config)
-    names = list(observables)
     rho0 = _initial_density(config)
 
     if config.mode == "evolve":
-        gen = _generator(config)
-        states = propagate(assemble(gen), rho0, times)
-        columns = [times] + [expectation_series(states, observables[n])
-                             for n in names]
-        _write_csv(out / "series.csv", provenance, ["time"] + names, columns)
+        observables = _observables(config)
+        states = propagate(assemble(_generator(config)), rho0, times)
+        columns = [times] + [expectation_series(states, op)
+                             for op in observables.values()]
+        _write_csv(out / "series.csv", provenance, ["time", *observables], columns)
         return
 
     if config.mode == "mcwf":
-        gen = _generator(config)
-        result = run_ensemble(gen.lindblad_terms(), rho0, times, observables,
-                              config.realizations, config.master_seed)
+        observables = _observables(config)
+        result = run_ensemble(_generator(config).lindblad_terms(), rho0, times,
+                              observables, config.realizations, config.master_seed)
         header = ["time"]
         columns = [times]
-        for n in names:
+        for n in observables:
             header += [n, f"{n}_se"]
             columns += [result.means[n], result.standard_errors[n]]
         _write_csv(out / "mcwf.csv", provenance, header, columns)
         return
 
-    # compare: non-secular reference vs weak-coupling Lindblad vs its ensemble
-    current = observables["current_b1"]
+    # compare: non-secular reference vs weak-coupling Lindblad vs its ensemble;
+    # run_ensemble checks the memory for its one observable
+    current = reported_current_operator(config.chain, 1)
     red = _generator(config, "redfield")
     weak = _generator(config, "weak_coupling")
     red_current, red_steady = _exact_payloads(config, red, rho0, times, current)

@@ -45,7 +45,8 @@ import numpy as np
 from .bath import BathSpec, rate, spectral_density
 from .chain import (ChainSpec, build_coupling_operator, build_hamiltonian,
                     contact_site)
-from .operators import PAULI, EigenSystem, Operator, eig_hermitian, embedded_sum
+from .operators import (PAULI, EigenSystem, Operator, eig_hermitian, embedded_sum,
+                        require_memory)
 
 VARIANTS = ("redfield", "secular", "weak_coupling", "local_diag")
 LINDBLAD_VARIANTS = ("secular", "weak_coupling", "local_diag")
@@ -70,7 +71,6 @@ class EigenOperatorSet:
 
     frequencies: np.ndarray
     operators: tuple
-    source: str
 
     def __post_init__(self):
         freqs = np.asarray(self.frequencies, dtype=float)
@@ -105,7 +105,10 @@ def bohr_decompose(h: Operator, x: Operator, cluster_tol: float,
     and the resulting frequency differences are merged with the same
     tolerance.  Components with max-norm below ``ZERO_OPERATOR_NORM`` are
     dropped.  Entries come back sorted by frequency, exactly closed under
-    conjugation.  ``eig``, when given, is ``eig_hermitian(h)``.
+    conjugation.  ``eig``, when given, is ``eig_hermitian(h)``.  Before it
+    forms them, ``DimensionError`` refuses a decomposition whose dense
+    operators (two per positive-frequency group, plus the zero-frequency
+    one) would not fit in the memory available.
     """
     if cluster_tol < 0:
         raise ValueError("cluster_tol must be >= 0")
@@ -133,6 +136,10 @@ def bohr_decompose(h: Operator, x: Operator, cluster_tol: float,
     pos_vals = np.array([level_means[b] - level_means[a] for a, b in upper_pairs])
     order = np.argsort(pos_vals, kind="stable")
     freq_groups = _cluster_sorted(pos_vals[order], cluster_tol)
+    # each group gives a lowering operator and its adjoint, plus the w = 0 piece
+    require_memory((2 * len(freq_groups) + 1) * 16 * eig.dim ** 2,
+                   f"a Bohr decomposition at dimension {eig.dim} into "
+                   f"{len(freq_groups)} positive-frequency groups")
 
     entries: list[tuple[float, np.ndarray]] = []
 
@@ -157,7 +164,7 @@ def bohr_decompose(h: Operator, x: Operator, cluster_tol: float,
     entries.sort(key=lambda item: item[0])
     freqs = np.array([f for f, _ in entries])
     ops = tuple(np.ascontiguousarray(m) for _, m in entries)
-    return EigenOperatorSet(frequencies=freqs, operators=ops, source=x.__repr__())
+    return EigenOperatorSet(frequencies=freqs, operators=ops)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ are applied as CSR matrices: a chain jump or bond current has at most one
 non-zero per row.
 
 Before it allocates, ``run_ensemble`` checks that the dense matrices it is
-about to hold fit in the physical memory available now, and raises
+about to hold fit in the memory available now, and raises
 ``DimensionError`` if they do not.
 
 Reproducibility contract: trajectory ``r`` of a run with master seed ``m``
@@ -48,7 +48,8 @@ import scipy.linalg
 import scipy.sparse
 
 from .dissipators import LindbladTerms
-from .operators import DimensionError, Operator, connected_blocks, eig_hermitian
+from .operators import (DimensionError, Operator, connected_blocks, eig_hermitian,
+                        require_memory)
 
 NORM_COLLAPSE = 1e-14
 BATCH_SIZE = 256
@@ -63,25 +64,12 @@ class NormCollapseError(RuntimeError):
     """The unnormalized state norm fell below the representable floor."""
 
 
-def available_memory() -> int | None:
-    """Bytes of physical memory available now, or None where the operating
-    system does not report it."""
-    try:
-        return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, OSError, ValueError):
-        return None
-
-
 def check_memory(dim: int, observables: int) -> None:
     """Raise ``DimensionError`` unless ``observables`` dense ``dim x dim``
     observables plus the kernel's dense matrices fit in available memory."""
-    need = (observables + KERNEL_DENSE_MATRICES) * 16 * dim * dim
-    free = available_memory()
-    if free is not None and need > free:
-        raise DimensionError(
-            f"a trajectory ensemble at dimension {dim} with {observables} "
-            f"observable(s) needs {need / 2**20:.0f} MiB of dense matrices, "
-            f"more than the {free / 2**20:.0f} MiB of memory available")
+    require_memory((observables + KERNEL_DENSE_MATRICES) * 16 * dim * dim,
+                   f"a trajectory ensemble at dimension {dim} with "
+                   f"{observables} observable(s)")
 
 
 def split_seed(master_seed: int, index: int) -> int:

@@ -1,9 +1,11 @@
-"""Dense operator algebra on tensor-product spin spaces.
+"""Checked dense matrices on tensor-product spin spaces.
 
-Operators are immutable dense complex matrices.  Everything in this package
-works at chain lengths where dense storage is comfortable; ``MAX_DENSE_DIM``
-caps the Hilbert-space dimension (2**12) so a mis-configured chain fails fast
-instead of thrashing.
+An ``Operator`` is an immutable dense complex square matrix; one flagged
+Hermitian is verified Hermitian when it is made.  Everything in this
+package works at chain lengths where dense storage is comfortable;
+``MAX_DENSE_DIM`` caps the Hilbert-space dimension (2**12) so a
+mis-configured chain fails fast instead of thrashing, and
+``require_memory`` refuses an allocation larger than the memory available.
 
 Chain operators are sums of one-site (2x2) and two-site (4x4) blocks.
 ``embedded_sum`` adds each block straight into one preallocated array
@@ -14,7 +16,8 @@ once, on the finished matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse.csgraph
@@ -23,9 +26,40 @@ MAX_DENSE_DIM = 4096
 
 HERMITICITY_RTOL = 1e-12
 
+MEMINFO = "/proc/meminfo"
+
 
 class DimensionError(ValueError):
-    """Operator dimensions are incompatible or exceed the dense cap."""
+    """Operator dimensions are incompatible, exceed the dense cap, or need
+    more memory than is available."""
+
+
+def available_memory() -> int | None:
+    """Bytes of memory available now without swapping, or None where the
+    operating system does not report it.  Linux's ``MemAvailable`` counts
+    the reclaimable page cache; elsewhere the free physical pages are the
+    estimate."""
+    try:
+        with open(MEMINFO, encoding="ascii") as f:
+            for line in f:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError):
+        pass
+    try:
+        return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, OSError, ValueError):
+        return None
+
+
+def require_memory(nbytes: int, what: str) -> None:
+    """Raise ``DimensionError`` if ``what`` needs ``nbytes`` of dense
+    matrices, more than the memory available now."""
+    free = available_memory()
+    if free is not None and nbytes > free:
+        raise DimensionError(
+            f"{what} needs {nbytes / 2**20:.0f} MiB of dense matrices, "
+            f"more than the {free / 2**20:.0f} MiB of memory available")
 
 
 def _as_matrix(entries) -> np.ndarray:
@@ -59,42 +93,11 @@ class Operator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def dag(self) -> "Operator":
-        return Operator(self.matrix.conj().T, hermitian=self.hermitian)
-
     def trace(self) -> complex:
         return complex(np.trace(self.matrix))
 
-    def __add__(self, other: "Operator") -> "Operator":
-        _check_dims(self, other)
-        return Operator(self.matrix + other.matrix,
-                        hermitian=self.hermitian and other.hermitian)
-
-    def __sub__(self, other: "Operator") -> "Operator":
-        _check_dims(self, other)
-        return Operator(self.matrix - other.matrix,
-                        hermitian=self.hermitian and other.hermitian)
-
-    def __neg__(self) -> "Operator":
-        return Operator(-self.matrix, hermitian=self.hermitian)
-
-    def __mul__(self, scalar) -> "Operator":
-        herm = self.hermitian and complex(scalar).imag == 0.0
-        return Operator(self.matrix * scalar, hermitian=herm)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other: "Operator") -> "Operator":
-        _check_dims(self, other)
-        return Operator(self.matrix @ other.matrix)
-
     def __repr__(self) -> str:
         return f"Operator(dim={self.dim}, hermitian={self.hermitian})"
-
-
-def _check_dims(a: Operator, b: Operator) -> None:
-    if a.dim != b.dim:
-        raise DimensionError(f"dimension mismatch: {a.dim} vs {b.dim}")
 
 
 @dataclass(frozen=True)
@@ -138,30 +141,6 @@ def pauli(kind: str) -> Operator:
     return Operator(m, hermitian=kind in ("identity", "x", "y", "z"))
 
 
-def identity(dim: int) -> Operator:
-    return Operator(np.eye(dim, dtype=complex), hermitian=True)
-
-
-def tensor(a: Operator, b: Operator) -> Operator:
-    """Kronecker product a ⊗ b."""
-    new_dim = a.dim * b.dim
-    if new_dim > MAX_DENSE_DIM:
-        raise DimensionError(
-            f"tensor product dimension {new_dim} exceeds dense cap {MAX_DENSE_DIM}; "
-            "the chain is too long for dense mode"
-        )
-    return Operator(np.kron(a.matrix, b.matrix),
-                    hermitian=a.hermitian and b.hermitian)
-
-
-def embed(op: Operator, site: int, n: int) -> Operator:
-    """Embed a one-site (dim 2) or two-site (dim 4) operator into an n-spin chain.
-
-    Sites are 1-based.  A dim-4 operator acts on sites (site, site+1).
-    """
-    return Operator(embedded_sum([(site, op.matrix)], n), hermitian=op.hermitian)
-
-
 def embedded_sum(blocks, n: int) -> np.ndarray:
     """Dense ``2**n x 2**n`` sum of local blocks, added in the order given.
 
@@ -176,7 +155,7 @@ def embedded_sum(blocks, n: int) -> np.ndarray:
     for site, block in blocks:
         k = block.shape[0]
         if block.shape != (k, k) or k not in (2, 4):
-            raise DimensionError(f"embed expects a dim-2 or dim-4 operator, "
+            raise DimensionError(f"embedded_sum expects a dim-2 or dim-4 block, "
                                  f"got shape {block.shape}")
         span = k.bit_length() - 1
         if not 1 <= site <= n - span + 1:
@@ -195,20 +174,6 @@ def _local_view(m: np.ndarray, left: int, k: int, right: int) -> np.ndarray:
     return np.lib.stride_tricks.as_strided(
         m, shape=(left, k, right, k),
         strides=(s[0] + s[3], s[1], s[2] + s[5], s[4]), writeable=True)
-
-
-def commutator(a: Operator, b: Operator) -> Operator:
-    _check_dims(a, b)
-    return Operator(a.matrix @ b.matrix - b.matrix @ a.matrix)
-
-
-def anticommutator(a: Operator, b: Operator) -> Operator:
-    _check_dims(a, b)
-    return Operator(a.matrix @ b.matrix + b.matrix @ a.matrix)
-
-
-def adjoint(a: Operator) -> Operator:
-    return a.dag()
 
 
 def connected_blocks(matrix) -> list[np.ndarray]:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from spinflux import cli, mcwf
+from spinflux import cli, operators
 from spinflux.cli import main
 
 BASE = """\
@@ -142,6 +142,14 @@ class TestCompareMode:
         assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 0
         assert sorted(calls) == ["redfield", "weak_coupling"]
 
+    def test_builds_only_the_compared_current(self, tmp_path, monkeypatch):
+        def refuse(config):
+            raise AssertionError("compare mode reads only current_b1")
+
+        monkeypatch.setattr(cli, "_observables", refuse)
+        cfg = write_config(tmp_path, BASE + "mode = compare\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
     def test_seeded_rerun_is_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, BASE + "mode = compare\n")
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -180,7 +188,7 @@ class TestFailureModes:
 
     def test_mcwf_memory_preflight_exit_code_and_record(self, tmp_path, monkeypatch):
         # 5 observables + 4 kernel matrices at d = 8 need 9216 bytes
-        monkeypatch.setattr(mcwf, "available_memory", lambda: 9215)
+        monkeypatch.setattr(operators, "available_memory", lambda: 9215)
         cfg = write_config(tmp_path, BASE + "mode = mcwf\nvariant = weak_coupling\n")
         out = tmp_path / "o"
         assert main(["run", str(cfg), "--out", str(out)]) == 3
@@ -188,6 +196,19 @@ class TestFailureModes:
         assert record["error"] == "DimensionError"
         assert record["exit_code"] == 3
         assert not (out / "mcwf.csv").exists()
+
+    def test_bohr_memory_preflight_exit_code_and_record(self, tmp_path, monkeypatch):
+        # 64 positive Bohr-frequency groups at n = 4: (2*64 + 1) * 16 * 16**2
+        # = 528384 bytes per bath
+        monkeypatch.setattr(operators, "available_memory", lambda: 528383)
+        text = BASE.replace("chain.n = 3", "chain.n = 4")
+        cfg = write_config(tmp_path, text + "mode = steady\nvariant = redfield\n")
+        out = tmp_path / "o"
+        assert main(["run", str(cfg), "--out", str(out), "--variant", "secular"]) == 3
+        record = json.loads((out / "error.json").read_text())
+        assert record["error"] == "DimensionError"
+        assert record["exit_code"] == 3
+        assert not (out / "steady.json").exists()
 
     def test_flag_overrides_apply(self, tmp_path):
         cfg = write_config(tmp_path, BASE + "mode = steady\nvariant = redfield\n")

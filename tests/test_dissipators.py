@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from spinflux import operators
 from spinflux.bath import BathSpec, rate
 from spinflux.chain import ChainSpec
 from spinflux.dissipators import (Generator, LindbladTerms, VariantError,
@@ -13,7 +14,7 @@ from spinflux.dissipators import (Generator, LindbladTerms, VariantError,
                                   _local_flip_operators)
 from spinflux.liouville import apply
 from spinflux.observables import gibbs_state
-from spinflux.operators import Operator, eig_hermitian, pauli
+from spinflux.operators import DimensionError, Operator, eig_hermitian, pauli
 
 FIG_CHAIN = ChainSpec(n=3, field=1.0, exchange=0.01)
 LEFT = BathSpec(beta=0.41, coupling=0.01, side="left")
@@ -210,6 +211,16 @@ class TestSecular:
         terms = make_generator("secular").lindblad_terms()
         assert len(terms) > 0
         assert all(r >= 0 for r in terms.rates)
+
+    def test_memory_preflight_refuses_before_decomposing(self, monkeypatch):
+        # 64 positive Bohr-frequency groups at n = 4: (2*64 + 1) * 16 * 16**2
+        # = 528384 bytes of dense operators per bath
+        chain = ChainSpec(n=4, field=1.0, exchange=0.01)
+        monkeypatch.setattr(operators, "available_memory", lambda: 528383)
+        with pytest.raises(DimensionError, match="64 positive-frequency groups"):
+            make_generator("secular", chain=chain)
+        monkeypatch.setattr(operators, "available_memory", lambda: 528384)
+        assert len(make_generator("secular", chain=chain).lindblad_terms()) > 0
 
     def test_preserves_diagonal_states(self):
         gen = make_generator("secular")

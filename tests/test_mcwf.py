@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from spinflux import mcwf
+from spinflux import mcwf, operators
 from spinflux.bath import BathSpec
 from spinflux.chain import ChainSpec
 from spinflux.dissipators import Generator, LindbladTerms
@@ -269,13 +269,13 @@ class TestEnsemble:
 
     def test_memory_preflight_refuses_before_allocating(self, monkeypatch):
         # (1 observable + 4 kernel matrices) * 16 bytes * 2 * 2 = 320 bytes
-        monkeypatch.setattr(mcwf, "available_memory", lambda: 319)
+        monkeypatch.setattr(operators, "available_memory", lambda: 319)
         with pytest.raises(DimensionError, match="memory available"):
             run_ensemble(damping_terms(), EXCITED, np.array([0.0, 1.0]),
                          {"sz": pauli("z")}, realizations=1, master_seed=1)
 
     def test_memory_preflight_passes_when_memory_suffices(self, monkeypatch):
-        monkeypatch.setattr(mcwf, "available_memory", lambda: 320)
+        monkeypatch.setattr(operators, "available_memory", lambda: 320)
         run_ensemble(damping_terms(), EXCITED, np.array([0.0, 1.0]),
                      {"sz": pauli("z")}, realizations=1, master_seed=1)
 

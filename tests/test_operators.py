@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from spinflux import operators
 from spinflux.chain import ChainSpec, build_hamiltonian
-from spinflux.operators import (DimensionError, Operator, _fix_phases,
-                                _stable_order, adjoint, anticommutator,
-                                commutator, eig_hermitian, embed, identity,
-                                pauli, tensor)
+from spinflux.operators import (PAULI, DimensionError, Operator, _fix_phases,
+                                _stable_order, available_memory, eig_hermitian,
+                                embedded_sum, pauli, require_memory)
 
 
 def random_complex(rng, d):
@@ -34,7 +32,8 @@ class TestPauli:
         assert np.count_nonzero(m) == 1
 
     def test_commutator_algebra(self):
-        lhs = commutator(pauli("x"), pauli("y")).matrix
+        x, y = pauli("x").matrix, pauli("y").matrix
+        lhs = x @ y - y @ x
         assert np.allclose(lhs, 2j * pauli("z").matrix, atol=1e-15)
 
     def test_plus_minus_from_xy(self):
@@ -46,75 +45,26 @@ class TestPauli:
             pauli("w")
 
 
-class TestTensor:
-    def test_z_with_identity(self):
-        m = tensor(pauli("z"), identity(2)).matrix
-        assert np.array_equal(m, np.diag([1.0, 1.0, -1.0, -1.0]))
-
-    def test_identity_case(self):
-        assert np.array_equal(tensor(identity(2), identity(2)).matrix, np.eye(4))
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(0, 2 ** 31 - 1))
-    def test_mixed_product_identity(self, seed):
-        rng = np.random.default_rng(seed)
-        a, b, c, d = (Operator(random_complex(rng, 2)) for _ in range(4))
-        lhs = (tensor(a, b) @ tensor(c, d)).matrix
-        rhs = tensor(a @ c, b @ d).matrix
-        assert np.abs(lhs - rhs).max() <= 1e-12 * max(np.abs(rhs).max(), 1.0)
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(0, 2 ** 31 - 1))
-    def test_trace_multiplicativity(self, seed):
-        rng = np.random.default_rng(seed)
-        a, b = Operator(random_complex(rng, 2)), Operator(random_complex(rng, 3))
-        assert abs(tensor(a, b).trace() - a.trace() * b.trace()) <= 1e-12 * max(
-            abs(a.trace() * b.trace()), 1.0)
-
-    def test_dim_overflow(self):
-        big = identity(2048)
-        with pytest.raises(DimensionError, match="dense cap"):
-            tensor(big, identity(4))
-
-
 class TestEmbed:
     def test_single_site(self):
-        assert np.array_equal(embed(pauli("z"), 1, 2).matrix,
-                              tensor(pauli("z"), identity(2)).matrix)
+        assert np.array_equal(embedded_sum([(1, PAULI["z"])], 2),
+                              np.kron(PAULI["z"], np.eye(2)))
 
     def test_disjoint_supports_commute(self):
-        a = embed(pauli("x"), 1, 3)
-        b = embed(pauli("y"), 3, 3)
-        assert np.abs(commutator(a, b).matrix).max() == 0.0
+        a = embedded_sum([(1, PAULI["x"])], 3)
+        b = embedded_sum([(3, PAULI["y"])], 3)
+        assert np.abs(a @ b - b @ a).max() == 0.0
 
     def test_two_site_embedding(self):
-        xx = tensor(pauli("x"), pauli("x"))
-        expect = np.kron(np.eye(2), xx.matrix)
-        assert np.array_equal(embed(xx, 2, 3).matrix, expect)
+        xx = np.kron(PAULI["x"], PAULI["x"])
+        expect = np.kron(np.eye(2), xx)
+        assert np.array_equal(embedded_sum([(2, xx)], 3), expect)
 
     def test_site_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
-            embed(pauli("x"), 4, 3)
+            embedded_sum([(4, PAULI["x"])], 3)
         with pytest.raises(ValueError, match="out of range"):
-            embed(tensor(pauli("x"), pauli("x")), 3, 3)
-
-
-class TestAlgebra:
-    def test_self_commutator_vanishes(self):
-        rng = np.random.default_rng(0)
-        a = Operator(random_complex(rng, 4))
-        assert np.abs(commutator(a, a).matrix).max() == 0.0
-
-    def test_anticommutator_of_x(self):
-        assert np.array_equal(anticommutator(pauli("x"), pauli("x")).matrix,
-                              2 * np.eye(2))
-
-    def test_adjoint_of_plus(self):
-        assert np.array_equal(adjoint(pauli("plus")).matrix, pauli("minus").matrix)
-
-    def test_dim_mismatch(self):
-        with pytest.raises(DimensionError):
-            commutator(pauli("x"), identity(4))
+            embedded_sum([(3, np.kron(PAULI["x"], PAULI["x"]))], 3)
 
 
 class TestHermitianFlag:
@@ -128,14 +78,44 @@ class TestHermitianFlag:
             op.matrix[0, 0] = 5.0
 
 
+class TestAvailableMemory:
+    def test_reads_mem_available(self, tmp_path, monkeypatch):
+        meminfo = tmp_path / "meminfo"
+        meminfo.write_text("MemTotal:        8000000 kB\n"
+                           "MemFree:           10000 kB\n"
+                           "MemAvailable:    5000000 kB\n")
+        monkeypatch.setattr(operators, "MEMINFO", str(meminfo))
+        assert available_memory() == 5000000 * 1024
+
+    @pytest.mark.parametrize("text", ["MemTotal: 8000000 kB\nMemFree: 10000 kB\n",
+                                      None])
+    def test_falls_back_to_free_pages(self, tmp_path, monkeypatch, text):
+        # a meminfo without MemAvailable (Linux before 3.14), or none at all
+        meminfo = tmp_path / "meminfo"
+        if text is not None:
+            meminfo.write_text(text)
+        monkeypatch.setattr(operators, "MEMINFO", str(meminfo))
+        pages = {"SC_AVPHYS_PAGES": 250, "SC_PAGE_SIZE": 4096}
+        monkeypatch.setattr(operators.os, "sysconf", pages.__getitem__)
+        assert available_memory() == 250 * 4096
+
+    def test_require_memory_refuses_only_beyond_available(self, monkeypatch):
+        monkeypatch.setattr(operators, "available_memory", lambda: 1000)
+        require_memory(1000, "a test")
+        with pytest.raises(DimensionError, match="a test needs .* memory available"):
+            require_memory(1001, "a test")
+        monkeypatch.setattr(operators, "available_memory", lambda: None)
+        require_memory(10 ** 18, "a test")
+
+
 class TestEigHermitian:
     def test_sigma_z_eigenvalues(self):
         eig = eig_hermitian(pauli("z"))
         assert np.array_equal(eig.eigenvalues, [-1.0, 1.0])
 
     def test_two_site_field_eigenvalues(self):
-        h = 0.5 * (embed(pauli("z"), 1, 2) + embed(pauli("z"), 2, 2))
-        eig = eig_hermitian(h)
+        h = 0.5 * embedded_sum([(1, PAULI["z"]), (2, PAULI["z"])], 2)
+        eig = eig_hermitian(Operator(h, hermitian=True))
         assert np.allclose(eig.eigenvalues, [-1.0, 0.0, 0.0, 1.0], atol=1e-14)
 
     def test_reconstruction_residual(self):
