@@ -13,9 +13,9 @@ from .chain import (ChainSpec, build_coupling_operator, build_current_operator,
                     build_hamiltonian, build_interaction,
                     build_local_hamiltonian, build_local_hamiltonian_site)
 from .config import ConfigError, RunConfig, parse_config, serialize_config
-from .dissipators import (EigenOperatorSet, GammaMatrix, Generator,
-                          LindbladTerms, VariantError, bohr_decompose,
-                          gamma_matrix, gamma_remainder_factor, split_gamma)
+from .dissipators import (GammaMatrix, Generator, LindbladTerms, VariantError,
+                          bohr_decompose, gamma_matrix, gamma_remainder_factor,
+                          split_gamma)
 from .liouville import (DegenerateSteadyStateError, SolverError,
                         SteadyStateReport, Superoperator, apply, assemble,
                         expectation_series, propagate, steady_state)

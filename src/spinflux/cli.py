@@ -36,9 +36,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, RunConfig, config_hash, parse_config, with_overrides
+from .config import (MODES, ConfigError, RunConfig, config_hash, parse_config,
+                     with_overrides)
 from .chain import build_hamiltonian, build_local_hamiltonian_site
-from .dissipators import Generator, VariantError
+from .dissipators import VARIANTS, Generator, VariantError
 from .liouville import (SolverError, Superoperator, assemble,
                         expectation_series, propagate, steady_state)
 from .mcwf import NormCollapseError, check_memory, run_ensemble
@@ -247,9 +248,8 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     runp = sub.add_parser("run", help="execute a configuration file")
     runp.add_argument("config", help="path to a key = value configuration file")
-    runp.add_argument("--mode", choices=("steady", "evolve", "mcwf", "compare"))
-    runp.add_argument("--variant",
-                      choices=("redfield", "secular", "weak_coupling", "local_diag"))
+    runp.add_argument("--mode", choices=MODES)
+    runp.add_argument("--variant", choices=VARIANTS)
     runp.add_argument("--out", help="output directory (overrides output.dir)")
     runp.add_argument("--seed", type=int, help="master seed (overrides mcwf.seed)")
     runp.add_argument("--realizations", type=int,

@@ -32,6 +32,12 @@ Each generator has one representation, ``Generator.sandwich_terms()``:
 ``(c, A, B)`` terms with ``L(rho) = sum c * A rho B``, coherent part
 included.  ``liouville.assemble`` and ``liouville.apply`` derive from it;
 ``LindbladTerms`` is the jump form the trajectory sampler needs.
+
+``_bohr_labels`` tags every eigenbasis matrix element with its transition
+frequency group.  The ``secular`` jumps are the eigenoperators X(w) that
+``bohr_decompose`` cuts out of that table, computed on first use by
+``Generator.eigenoperator_sets()``; the ``redfield`` filtered operator
+weights the same table with the bath rates in one pass and never forms them.
 """
 
 from __future__ import annotations
@@ -60,32 +66,6 @@ class VariantError(ValueError):
     """A generator was handed to a builder for a different variant."""
 
 
-@dataclass(frozen=True)
-class EigenOperatorSet:
-    """Decomposition of a coupling operator by transition frequency.
-
-    ``operators[k]`` collects every matrix element of the source operator whose
-    transition lowers the system energy by ``frequencies[k]``; the set is
-    closed under (w -> -w, X -> X.conj().T) and sums back to the source.
-    """
-
-    frequencies: np.ndarray
-    operators: tuple
-
-    def __post_init__(self):
-        freqs = np.asarray(self.frequencies, dtype=float)
-        freqs.flags.writeable = False
-        object.__setattr__(self, "frequencies", freqs)
-        for op in self.operators:
-            op.flags.writeable = False
-
-    def __len__(self) -> int:
-        return len(self.frequencies)
-
-    def __iter__(self):
-        return iter(zip(self.frequencies, self.operators))
-
-
 def _cluster_sorted(values: np.ndarray, tol: float) -> list[np.ndarray]:
     """Greedy left-to-right grouping of sorted values with spread <= tol."""
     groups = []
@@ -97,28 +77,18 @@ def _cluster_sorted(values: np.ndarray, tol: float) -> list[np.ndarray]:
     return groups
 
 
-def bohr_decompose(h: Operator, x: Operator, cluster_tol: float,
-                   eig: EigenSystem | None = None) -> EigenOperatorSet:
-    """Split ``x`` into eigenoperators of ``h`` grouped by transition frequency.
+def _bohr_labels(eig: EigenSystem, cluster_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Frequency group of every element of a ``d x d`` eigenbasis matrix.
 
-    Eigenvalues of ``h`` closer than ``cluster_tol`` are treated as one level,
-    and the resulting frequency differences are merged with the same
-    tolerance.  Components with max-norm below ``ZERO_OPERATOR_NORM`` are
-    dropped.  Entries come back sorted by frequency, exactly closed under
-    conjugation.  ``eig``, when given, is ``eig_hermitian(h)``.  Before it
-    forms them, ``DimensionError`` refuses a decomposition whose dense
-    operators (two per positive-frequency group, plus the zero-frequency
-    one) would not fit in the memory available.
+    Eigenvalues closer than ``cluster_tol`` form one level.  The positive
+    level differences, taken in row-major order of the level pairs and
+    stably sorted, are merged with the same tolerance into groups with
+    ascending mean frequencies ``freqs``.  ``labels[i, j]`` is ``k`` when
+    element ``(i, j)`` lowers the energy by ``freqs[k - 1]``, ``-k`` when it
+    raises it by that much, and 0 within one level.
     """
     if cluster_tol < 0:
         raise ValueError("cluster_tol must be >= 0")
-    if not h.hermitian:
-        raise ValueError("bohr_decompose requires a hermitian generator of the spectrum")
-    if eig is None:
-        eig = eig_hermitian(h)
-    u = eig.eigenvectors
-    x_eig = u.conj().T @ x.matrix @ u
-
     level_groups = _cluster_sorted(eig.eigenvalues, cluster_tol)
     level_of = np.empty(eig.dim, dtype=int)
     level_means = np.empty(len(level_groups))
@@ -126,45 +96,59 @@ def bohr_decompose(h: Operator, x: Operator, cluster_tol: float,
         level_of[idx] = c
         level_means[c] = eig.eigenvalues[idx].mean()
 
-    # frequency of element (i, j): energy lost by the system, mean(col) - mean(row)
-    pair_freq = level_means[level_of[None, :]] - level_means[level_of[:, None]]
-
-    # group the distinct positive pair frequencies; mirror to negatives so the
-    # set is symmetric no matter how the greedy grouping falls
-    upper_pairs = [(a, b) for a in range(len(level_groups)) for b in range(len(level_groups))
-                   if level_means[b] > level_means[a]]
-    pos_vals = np.array([level_means[b] - level_means[a] for a, b in upper_pairs])
+    # group the positive level differences; the mirrored negatives get the
+    # same groups, so the table is antisymmetric however the grouping falls
+    lower, upper = np.nonzero(level_means[None, :] > level_means[:, None])
+    pos_vals = level_means[upper] - level_means[lower]
     order = np.argsort(pos_vals, kind="stable")
-    freq_groups = _cluster_sorted(pos_vals[order], cluster_tol)
-    # each group gives a lowering operator and its adjoint, plus the w = 0 piece
-    require_memory((2 * len(freq_groups) + 1) * 16 * eig.dim ** 2,
+    groups = _cluster_sorted(pos_vals[order], cluster_tol)
+    pair_label = np.zeros((len(level_groups),) * 2, dtype=int)
+    freqs = np.empty(len(groups))
+    for k, grp in enumerate(groups, start=1):
+        members = order[grp]
+        pair_label[lower[members], upper[members]] = k
+        pair_label[upper[members], lower[members]] = -k
+        freqs[k - 1] = pos_vals[members].mean()
+    return pair_label[level_of[:, None], level_of[None, :]], freqs
+
+
+def bohr_decompose(h: Operator, x: Operator, cluster_tol: float,
+                   eig: EigenSystem | None = None) -> tuple:
+    """Split ``x`` into eigenoperators of ``h`` grouped by transition frequency.
+
+    Returns ``(w, X(w))`` pairs sorted by ``w``, with read-only ``X(w)``:
+    each collects the matrix elements of ``x`` whose transition lowers the
+    energy by ``w``, so the pairs sum back to ``x`` and are closed under
+    ``(w, X) -> (-w, X_dag)``.  Levels and frequencies are grouped by
+    ``_bohr_labels``.  Components with max-norm below ``ZERO_OPERATOR_NORM``
+    are dropped.  ``eig``, when given, is ``eig_hermitian(h)``.  Before it
+    forms them, ``DimensionError`` refuses a decomposition whose dense
+    operators (two per positive-frequency group, plus the zero-frequency
+    one) would not fit in the memory available.
+    """
+    if not h.hermitian:
+        raise ValueError("bohr_decompose requires a hermitian generator of the spectrum")
+    if eig is None:
+        eig = eig_hermitian(h)
+    labels, freqs = _bohr_labels(eig, cluster_tol)
+    require_memory((2 * len(freqs) + 1) * 16 * eig.dim ** 2,
                    f"a Bohr decomposition at dimension {eig.dim} into "
-                   f"{len(freq_groups)} positive-frequency groups")
+                   f"{len(freqs)} positive-frequency groups")
+    u = eig.eigenvectors
+    x_eig = u.conj().T @ x.matrix @ u
 
-    entries: list[tuple[float, np.ndarray]] = []
-
-    diag_mask = level_of[None, :] == level_of[:, None]
-    zero_piece = np.where(diag_mask, x_eig, 0.0)
-    if np.abs(zero_piece).max() > ZERO_OPERATOR_NORM:
-        entries.append((0.0, u @ zero_piece @ u.conj().T))
-
-    for grp in freq_groups:
-        members = [upper_pairs[order[g]] for g in grp]
-        freq = float(np.mean([level_means[b] - level_means[a] for a, b in members]))
-        mask = np.zeros_like(diag_mask)
-        for a, b in members:
-            mask |= (level_of[:, None] == a) & (level_of[None, :] == b)
-        piece = np.where(mask, x_eig, 0.0)
+    pairs = []
+    for k, w in enumerate([0.0] + freqs.tolist()):
+        piece = np.where(labels == k, x_eig, 0.0)
         if np.abs(piece).max() <= ZERO_OPERATOR_NORM:
             continue
-        lowering = u @ piece @ u.conj().T
-        entries.append((freq, lowering))
-        entries.append((-freq, lowering.conj().T))
-
-    entries.sort(key=lambda item: item[0])
-    freqs = np.array([f for f, _ in entries])
-    ops = tuple(np.ascontiguousarray(m) for _, m in entries)
-    return EigenOperatorSet(frequencies=freqs, operators=ops)
+        op = u @ piece @ u.conj().T
+        pairs.append((w, op))
+        if k:
+            pairs.append((-w, np.ascontiguousarray(op.conj().T)))
+    for _, op in pairs:
+        op.flags.writeable = False
+    return tuple(sorted(pairs, key=lambda item: item[0]))
 
 
 @dataclass(frozen=True)
@@ -276,9 +260,10 @@ class LindbladTerms:
 class Generator:
     """One master-equation generator: a variant bound to a chain and two baths.
 
-    The Hamiltonian's eigensystem is computed on first use (``redfield``
-    and ``secular`` need it at construction, the local variants never do);
-    everything else is built eagerly and is immutable.
+    The Hamiltonian's eigensystem and the Bohr eigenoperator sets are
+    computed on first use: ``redfield`` needs only the eigensystem at
+    construction, ``secular`` both, and the local variants neither.
+    Everything else is built eagerly and is immutable.
     """
 
     def __init__(self, variant: str, chain: ChainSpec, bath_left: BathSpec,
@@ -296,21 +281,18 @@ class Generator:
         self.coupling_operators = tuple(
             build_coupling_operator(chain, b.side) for b in self.baths)
 
-        self._eigensets: tuple[EigenOperatorSet, ...] | None = None
+        self._eigensets: tuple[tuple, ...] | None = None
         self._filtered: tuple[np.ndarray, ...] | None = None
         self._terms: LindbladTerms | None = None
 
-        if variant in ("redfield", "secular"):
-            self._eigensets = tuple(
-                bohr_decompose(self.hamiltonian, xc, self.cluster_tol,
-                               eig=self.eigensystem)
-                for xc in self.coupling_operators)
         if variant == "redfield":
+            labels, freqs = _bohr_labels(self.eigensystem, self.cluster_tol)
             self._filtered = tuple(
-                _spectral_filter(es, b) for es, b in zip(self._eigensets, self.baths))
+                _spectral_filter(xc, b, self.eigensystem, labels, freqs)
+                for xc, b in zip(self.coupling_operators, self.baths))
             return
         if variant == "secular":
-            pairs = [pair for es, b in zip(self._eigensets, self.baths)
+            pairs = [pair for es, b in zip(self.eigenoperator_sets(), self.baths)
                      for pair in secular_terms_for_bath(es, b)]
         elif variant == "weak_coupling":
             pairs = [_weak_coupling_jump(self.chain, b) for b in self.baths]
@@ -333,10 +315,16 @@ class Generator:
     def is_lindblad(self) -> bool:
         return self.variant in LINDBLAD_VARIANTS
 
-    def eigenoperator_sets(self) -> tuple[EigenOperatorSet, ...]:
-        if self._eigensets is None:
+    def eigenoperator_sets(self) -> tuple[tuple, ...]:
+        """Per bath, ``bohr_decompose`` of its contact operator."""
+        if self.variant not in ("redfield", "secular"):
             raise VariantError(f"variant {self.variant!r} does not decompose the "
                                "coupling operators against the full Hamiltonian")
+        if self._eigensets is None:
+            self._eigensets = tuple(
+                bohr_decompose(self.hamiltonian, xc, self.cluster_tol,
+                               eig=self.eigensystem)
+                for xc in self.coupling_operators)
         return self._eigensets
 
     def lindblad_terms(self) -> LindbladTerms:
@@ -349,7 +337,7 @@ class Generator:
     def redfield_parts(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """Per bath: (contact operator X, spectrally filtered operator B) with
         the dissipator pi*([B rho, X] + h.c.)."""
-        if self.variant != "redfield" or self._filtered is None:
+        if self._filtered is None:
             raise VariantError(f"redfield parts requested from variant {self.variant!r}")
         return tuple((xc.matrix, b) for xc, b in
                      zip(self.coupling_operators, self._filtered))
@@ -373,16 +361,20 @@ class Generator:
         return tuple(terms)
 
 
-def _spectral_filter(eigset: EigenOperatorSet, bath: BathSpec) -> np.ndarray:
-    """Weight each frequency component with the bath spectrum: sum of
-    rate(-w) * X(w)."""
-    total = np.zeros_like(eigset.operators[0])
-    for w, op in eigset:
-        total = total + rate(-w, bath) * op
-    return total
+def _spectral_filter(x: Operator, bath: BathSpec, eig: EigenSystem,
+                     labels: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+    """``sum_w rate(-w) X(w)`` in one pass: each eigenbasis element of ``x``
+    is weighted by the rate of its frequency group from ``_bohr_labels``.
+    Read-only."""
+    signed = np.concatenate(([0.0], freqs, -freqs[::-1]))  # signed[label] is w
+    weights = np.array([rate(-w, bath) for w in signed])
+    u = eig.eigenvectors
+    b = u @ (weights[labels] * (u.conj().T @ x.matrix @ u)) @ u.conj().T
+    b.flags.writeable = False
+    return b
 
 
-def secular_terms_for_bath(eigset: EigenOperatorSet, bath: BathSpec) -> list:
+def secular_terms_for_bath(eigset: tuple, bath: BathSpec) -> list:
     """Frequency-diagonal jump channels: rate 2*pi*rate(-w) on X(w)."""
     return [(2.0 * math.pi * rate(-w, bath), op) for w, op in eigset]
 

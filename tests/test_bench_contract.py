@@ -9,6 +9,10 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from spinflux.bath import BathSpec
+from spinflux.chain import ChainSpec
+from spinflux.dissipators import VARIANTS, Generator
+
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
@@ -40,3 +44,19 @@ def test_workload_references_resolve():
              and node.value.id in modules]
     assert pairs
     assert unresolved(pairs) == []
+
+
+def test_generator_attributes_resolve():
+    # every ``gen.<attr>`` or ``g.<attr>`` that a bench script reads must
+    # exist on a generator of every variant
+    attrs = {node.attr for path in BENCH.glob("*.py")
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+             and node.value.id in ("gen", "g")}
+    assert {"hamiltonian", "lindblad_terms", "redfield_parts"} <= attrs
+    chain = ChainSpec(n=3, field=1.0, exchange=0.01)
+    baths = (BathSpec(beta=0.41, coupling=0.01, side="left"),
+             BathSpec(beta=1.39, coupling=0.01, side="right"))
+    for variant in VARIANTS:
+        gen = Generator(variant, chain, *baths)
+        assert sorted(a for a in attrs if not hasattr(gen, a)) == [], variant

@@ -210,6 +210,17 @@ class TestFailureModes:
         assert record["exit_code"] == 3
         assert not (out / "steady.json").exists()
 
+    def test_bohr_memory_preflight_leaves_redfield_alone(self, tmp_path, monkeypatch):
+        # the amount at which the secular run above is refused
+        monkeypatch.setattr(operators, "available_memory", lambda: 528383)
+        text = BASE.replace("chain.n = 3", "chain.n = 4")
+        cfg = write_config(tmp_path, text + "mode = steady\nvariant = redfield\n")
+        out = tmp_path / "o"
+        assert main(["run", str(cfg), "--out", str(out), "--mode", "steady",
+                     "--variant", "redfield"]) == 0
+        steady = json.loads((out / "steady.json").read_text())["steady"]
+        assert steady["variant"] == "redfield"
+
     def test_flag_overrides_apply(self, tmp_path):
         cfg = write_config(tmp_path, BASE + "mode = steady\nvariant = redfield\n")
         out = tmp_path / "o"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from spinflux import operators
+from spinflux import dissipators, operators
 from spinflux.bath import BathSpec, rate
 from spinflux.chain import ChainSpec
 from spinflux.dissipators import (Generator, LindbladTerms, VariantError,
@@ -12,7 +12,7 @@ from spinflux.dissipators import (Generator, LindbladTerms, VariantError,
                                   gamma_remainder_factor,
                                   secular_terms_for_bath, split_gamma,
                                   _local_flip_operators)
-from spinflux.liouville import apply
+from spinflux.liouville import apply, assemble, steady_state
 from spinflux.observables import gibbs_state
 from spinflux.operators import DimensionError, Operator, eig_hermitian, pauli
 
@@ -66,7 +66,7 @@ class TestBohrDecompose:
     def test_frequencies_separated(self):
         gen = make_generator("redfield")
         for eigset in gen.eigenoperator_sets():
-            gaps = np.diff(eigset.frequencies)
+            gaps = np.diff([w for w, _ in eigset])
             assert np.all(gaps > gen.cluster_tol)
 
     def test_interaction_picture_phases(self):
@@ -84,6 +84,11 @@ class TestBohrDecompose:
         for eigset in gen.eigenoperator_sets():
             for _, op in eigset:
                 assert np.abs(op).max() > 1e-14
+
+    @pytest.mark.parametrize("variant", ["redfield", "secular"])
+    def test_rejects_negative_cluster_tol(self, variant):
+        with pytest.raises(ValueError, match="cluster_tol"):
+            Generator(variant, FIG_CHAIN, LEFT, RIGHT, cluster_tol=-1e-9)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="hermitian"):
@@ -125,11 +130,12 @@ def double_sum_redfield(gen, rho):
 
 
 class TestRedfield:
-    def test_matches_double_sum_oracle(self):
-        gen = make_generator("redfield")
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_matches_double_sum_oracle(self, n):
+        gen = make_generator("redfield", chain=ChainSpec(n=n, field=1.0, exchange=0.01))
         rng = np.random.default_rng(21)
         for _ in range(5):
-            rho = random_hermitian(rng, 8)
+            rho = random_hermitian(rng, gen.chain.dim)
             got = dissipator(gen, rho.matrix)
             want = double_sum_redfield(gen, rho.matrix)
             assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)
@@ -140,7 +146,6 @@ class TestRedfield:
         gen = Generator("redfield", FIG_CHAIN, left, right)
         rho_g = gibbs_state(gen.hamiltonian, 1.0)
         full = apply(gen.sandwich_terms(), rho_g.matrix)
-        from spinflux.liouville import assemble
         scale = np.abs(assemble(gen).matrix).max()
         assert np.abs(full).max() <= 1e-10 * scale
 
@@ -170,6 +175,28 @@ class TestRedfield:
         with pytest.raises(VariantError):
             make_generator("secular").redfield_parts()
 
+    def test_parts_are_read_only(self):
+        gen = make_generator("redfield")
+        with pytest.raises(ValueError):
+            gen.redfield_parts()[0][1][0, 0] = 1.0
+
+    def test_needs_no_bohr_decomposition(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("redfield decomposed a coupling operator")
+
+        monkeypatch.setattr(dissipators, "bohr_decompose", refuse)
+        gen = make_generator("redfield")
+        report = steady_state(assemble(gen))
+        assert abs(report.state.trace() - 1.0) <= 1e-12
+
+    def test_memory_preflight_leaves_redfield_alone(self, monkeypatch):
+        # the amount at which the secular decomposition at n = 4 is refused
+        chain = ChainSpec(n=4, field=1.0, exchange=0.01)
+        monkeypatch.setattr(operators, "available_memory", lambda: 528383)
+        gen = make_generator("redfield", chain=chain)
+        assert len(gen.redfield_parts()) == 2
+        with pytest.raises(DimensionError, match="64 positive-frequency groups"):
+            gen.eigenoperator_sets()
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_parts_exactly_zero_off_neighbouring_sectors(self, n):
