@@ -12,14 +12,13 @@ compare  -> compare.csv + steady.json
 
 Every artifact embeds provenance (artifact version, config hash, seed,
 variant, tolerances).  Outputs are byte-stable: identical configuration and
-seed give identical files, whatever SPINFLUX_WORKERS says.  The dense
-Liouvillian is assembled with BLAS products whose rounding can depend on the
-BLAS thread count, so the Liouville-space artifacts (steady, evolve,
-compare) are byte-stable at a fixed thread count and record it as
-``blas_threads``.
+seed give identical files, whatever SPINFLUX_WORKERS says.  The sparse LU
+of the steady-state solve rounds differently with the BLAS thread count, so
+the Liouville-space artifacts (steady, evolve, compare) are byte-stable at a
+fixed thread count and record it as ``blas_threads``.
 
 Exit codes: 0 success, 2 configuration error, 3 solver failure (including a
-chain too long for dense Liouville algebra, and a trajectory ensemble or a
+chain too long for Liouville-space solves, and a trajectory ensemble or a
 Bohr decomposition whose dense matrices would not fit in the memory
 available).
 """
@@ -217,7 +216,7 @@ def run(config: RunConfig) -> None:
 def _exact_payloads(config: RunConfig, gen: Generator, rho0: Operator,
                     times: np.ndarray, current: Operator):
     """Propagated current series and steady payload of one generator, from
-    one assembly; returning drops the dense Liouvillian, so compare mode
+    one assembly; returning drops the sparse Liouvillian, so compare mode
     holds at most one at a time."""
     s = assemble(gen)
     states = propagate(s, rho0, times)

@@ -9,21 +9,22 @@ on vectors of length d**2.
 The chain's eigenvectors vanish exactly outside their total-S_z sector
 (``operators.eig_hermitian``), so the terms, and with them the assembled
 matrix, carry exact zeros: at n=5 between 0.6% (``local_diag``) and 10%
-(``secular``) of its entries are non-zero.  ``Superoperator`` keeps one CSR
-copy of the matrix, and both solvers use it: ``steady_state`` factorizes
-the trace-bordered generator once with a sparse LU, and ``propagate`` calls
-``expm_multiply`` once per run of equally spaced grid points and per
-connected component of the non-zero pattern that the initial state occupies
-(the CLI's start states fill one of two at n=5).  The dense matrix is still
-formed first, so chains beyond ``MAX_SITES`` must fall back to the
-trajectory sampler.
+(``secular``) of its entries are non-zero.  ``assemble`` builds the CSR
+matrix with one sparse product over the terms, and the solvers read only
+it: ``steady_state`` factorizes the trace-bordered generator once with a
+sparse LU, and ``propagate`` calls ``expm_multiply`` once per run of equally
+spaced grid points and per connected component of the non-zero pattern that
+the initial state occupies (the CLI's start states fill one of two at n=5).
+The LU's fill caps chains at ``MAX_SITES``; longer ones need the trajectory
+sampler.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
@@ -52,18 +53,19 @@ class DegenerateSteadyStateError(SolverError):
 
 @dataclass(frozen=True)
 class Superoperator:
-    """Generator matrix acting on column-stacked density matrices: the dense
-    ``matrix`` and one CSR copy of its non-zeros, ``sparse``, which the
-    solvers use."""
+    """Generator matrix acting on column-stacked density matrices, held as
+    CSR (``sparse``), the only form the solvers read."""
 
-    matrix: np.ndarray
+    sparse: scipy.sparse.csr_array
     dim: int
     generator: Generator
-    sparse: scipy.sparse.csr_array = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        self.matrix.flags.writeable = False
-        object.__setattr__(self, "sparse", scipy.sparse.csr_array(self.matrix))
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        """Read-only dense copy of ``sparse``, formed on first access."""
+        m = self.sparse.toarray()
+        m.flags.writeable = False
+        return m
 
 
 @dataclass(frozen=True)
@@ -100,42 +102,40 @@ def apply(terms, rho: np.ndarray) -> np.ndarray:
 
 
 def assemble(gen: Generator) -> Superoperator:
-    """Build the full generator matrix ``sum c * kron(B.T, A)`` from the
-    generator's sandwich terms, in the column-stacking convention."""
+    """Build ``sum c * kron(B.T, A)`` over the generator's sandwich terms in
+    CSR: with ``c_t * B_t`` flattened into row t of ``P`` and ``A_t`` into
+    row t of ``Q``, ``P.T @ Q`` holds ``sum_t c_t B_t[c, a] A_t[b, e]`` at
+    ``(c*d + a, b*d + e)``, whose place in the Kronecker sum is ``(a*d + b,
+    c*d + e)``."""
     n = gen.chain.n
     if n > MAX_SITES:
         raise DimensionError(
-            f"dense Liouville solves are capped at {MAX_SITES} sites (got {n}); "
+            f"Liouville solves are capped at {MAX_SITES} sites (got {n}); "
             "use the trajectory sampler for longer chains")
     d = gen.chain.dim
-    left = np.zeros((d, d), dtype=complex)
-    right = np.zeros((d, d), dtype=complex)
-    coeffs, lefts, rights = [], [], []
-    for c, a, b in gen.sandwich_terms():
-        if b is None:
-            left += c * a
-        elif a is None:
-            right += c * b
-        else:
-            coeffs.append(c)
-            lefts.append(a)
-            rights.append(b)
-    # s = kron(1, left) + kron(right.T, 1) + sum_t c_t kron(B_t.T, A_t), one
-    # row block a at a time so that no d^2 x d^2 temporary is formed; the
-    # stacked two-sided terms give s4[a, b, c, e] += sum_t c_t B_t[c, a] A_t[b, e]
-    coeffs = np.array(coeffs)
-    flat = np.array(lefts, dtype=complex).reshape(-1, d * d)
-    rights = np.array(rights, dtype=complex).reshape(-1, d, d)
-    s = np.zeros((d * d, d * d), dtype=complex)
-    s4 = s.reshape(d, d, d, d)
-    diag = np.arange(d)
-    for a in range(d):
-        s4[a, :, a, :] += left
-        s4[a, diag, :, diag] += right[:, a]
-        block = (rights[:, :, a] * coeffs[:, None]).T @ flat
-        s4[a] += block.reshape(d, d, d).transpose(1, 0, 2)
+    eye = np.eye(d)
+    terms = gen.sandwich_terms()
+    p = _flat_rows((c * (eye if b is None else b) for c, _, b in terms), d * d)
+    q = _flat_rows((eye if a is None else a for _, a, _ in terms), d * d)
+    m = (p.T @ q).tocoo()
+    (c, a), (b, e) = np.divmod(m.row, d), np.divmod(m.col, d)
+    s = scipy.sparse.csr_array((m.data, (a * d + b, c * d + e)), shape=m.shape)
+    s.eliminate_zeros()
+    return Superoperator(sparse=s, dim=d, generator=gen)
 
-    return Superoperator(matrix=s, dim=d, generator=gen)
+
+def _flat_rows(mats, size: int) -> scipy.sparse.csr_array:
+    """CSR matrix whose row t is the row-major flattened ``mats[t]``, of
+    ``size`` entries; its 32-bit indices, as SuperLU takes them, carry
+    through the product."""
+    cols, vals = [], []
+    for x in map(np.ravel, mats):
+        cols.append(np.flatnonzero(x))
+        vals.append(x[cols[-1]])
+    indptr = np.cumsum([0] + [len(idx) for idx in cols], dtype=np.int32)
+    return scipy.sparse.csr_array(
+        (np.concatenate(vals), np.concatenate(cols, dtype=np.int32), indptr),
+        shape=(len(cols), size))
 
 
 def steady_state(s: Superoperator, null_tol: float = NULLSPACE_TOL) -> SteadyStateReport:

@@ -1,10 +1,17 @@
 import logging
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
+import spinflux
 from spinflux.bath import BathSpec
 from spinflux.chain import ChainSpec
 from spinflux.dissipators import Generator
@@ -21,6 +28,25 @@ LEFT = BathSpec(beta=0.41, coupling=0.01, side="left")
 RIGHT = BathSpec(beta=1.39, coupling=0.01, side="right")
 ALL_VARIANTS = ("redfield", "secular", "weak_coupling", "local_diag")
 LINDBLAD = ("secular", "weak_coupling", "local_diag")
+
+
+# sha256 of the CSR arrays of every variant's n=5 Liouvillian, one line each
+ASSEMBLY_DIGESTS = """
+import hashlib
+from spinflux.bath import BathSpec
+from spinflux.chain import ChainSpec
+from spinflux.dissipators import VARIANTS, Generator
+from spinflux.liouville import assemble
+chain = ChainSpec(n=5, field=1.0, exchange=0.01)
+baths = (BathSpec(beta=0.41, coupling=0.01, side="left"),
+         BathSpec(beta=1.39, coupling=0.01, side="right"))
+for variant in VARIANTS:
+    m = assemble(Generator(variant, chain, *baths)).sparse
+    digest = hashlib.sha256()
+    for part in (m.data, m.indices, m.indptr):
+        digest.update(part.tobytes())
+    print(variant, digest.hexdigest())
+"""
 
 
 def make_generator(variant, chain=FIG_CHAIN, left=LEFT, right=RIGHT, **kw):
@@ -86,11 +112,46 @@ class TestAssemble:
             assert np.abs(lhs - rhs).max() <= 1e-10 * max(np.abs(rhs).max(), 1.0)
 
     def test_site_cap(self):
-        for n in (7, 8):  # one n=7 Liouvillian is already 4.3 GB
+        for n in (7, 8):  # the n=7 sparse LU fill reaches 2 GB (redfield)
             chain = ChainSpec(n=n, field=1.0, exchange=0.001)
             gen = Generator("weak_coupling", chain, LEFT, RIGHT)
             with pytest.raises(DimensionError, match="trajectory sampler"):
                 assemble(gen)
+
+    def test_no_dense_liouville_array(self):
+        # the d^2 x d^2 complex matrix alone would be 16 * d**4 bytes
+        gen = make_generator("weak_coupling", chain=ChainSpec(n=6, field=1.0,
+                                                              exchange=0.01))
+        d = gen.chain.dim
+        tracemalloc.start()
+        try:
+            assemble(gen)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * d ** 4 / 16
+
+    @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    def test_solvers_never_densify(self, variant):
+        s = assemble(make_generator(variant))
+        steady_state(s)
+        propagate(s, maximally_mixed(8), np.linspace(0.0, 10.0, 5))
+        assert "matrix" not in vars(s)
+        assert not s.matrix.flags.writeable
+        assert np.array_equal(s.matrix, s.sparse.toarray())
+
+    def test_bits_independent_of_blas_threads(self):
+        src = str(Path(spinflux.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            done = subprocess.run([sys.executable, "-c", ASSEMBLY_DIGESTS], env=env,
+                                  capture_output=True, text=True, check=True)
+            outputs.append(done.stdout)
+        assert len(outputs[0].splitlines()) == 4
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("n", [3, 4])
     @pytest.mark.parametrize("variant", ALL_VARIANTS)
@@ -256,7 +317,7 @@ class TestPropagate:
         # block [[-1, 1], [0, -1]]: no eigenbasis exists
         m = np.zeros((4, 4), dtype=complex)
         m[1, 1], m[1, 2], m[2, 2] = -1.0, 1.0, -1.0
-        s = Superoperator(matrix=m, dim=2, generator=None)
+        s = Superoperator(sparse=scipy.sparse.csr_array(m), dim=2, generator=None)
         rho0 = Operator(np.array([[0.5, 0.2], [0.2, 0.5]]), hermitian=True)
         times = np.array([0.0, 0.5, 1.0, 3.0, 10.0])
         for t, state in zip(times, propagate(s, rho0, times)):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 import scipy.stats
 
 from spinflux import mcwf, operators
@@ -179,7 +180,8 @@ class TestBlocks:
         liouvillian = (-1j * (np.kron(eye, h.matrix) - np.kron(h.matrix.T, eye))
                        + gamma * np.kron(L.conj(), L)
                        - 0.5 * (np.kron(eye, decay) + np.kron(decay.T, eye)))
-        s = Superoperator(matrix=liouvillian, dim=2, generator=None)
+        s = Superoperator(sparse=scipy.sparse.csr_array(liouvillian), dim=2,
+                          generator=None)
         rho0 = Operator(np.outer(EXCITED, EXCITED.conj()), hermitian=True)
         exact = expectation_series(propagate(s, rho0, grid), pauli("z"))
         res = run_ensemble(terms, EXCITED, grid, {"sz": pauli("z")},
