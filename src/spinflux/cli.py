@@ -12,10 +12,8 @@ compare  -> compare.csv + steady.json
 
 Every artifact embeds provenance (artifact version, config hash, seed,
 variant, tolerances).  Outputs are byte-stable: identical configuration and
-seed give identical files, whatever SPINFLUX_WORKERS says.  The sparse LU
-of the steady-state solve rounds differently with the BLAS thread count, so
-the Liouville-space artifacts (steady, evolve, compare) are byte-stable at a
-fixed thread count and record it as ``blas_threads``.
+seed give identical files, whatever SPINFLUX_WORKERS or the BLAS thread
+count says.
 
 Exit codes: 0 success, 2 configuration error, 3 solver failure (including a
 chain too long for Liouville-space solves, and a trajectory ensemble or a
@@ -28,7 +26,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
 from pathlib import Path
 
@@ -83,26 +80,8 @@ def _observables(config: RunConfig) -> dict:
     return obs
 
 
-def _blas_threads() -> int:
-    """The BLAS thread count as OpenBLAS derives it at start-up: the first
-    positive one of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and
-    OMP_NUM_THREADS, else one per usable core, and never more than those."""
-    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-             else os.cpu_count() or 1)
-    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        try:
-            wanted = int(os.environ.get(var, "0"))
-        except ValueError:
-            continue
-        if wanted > 0:
-            return min(wanted, cores)
-    return cores
-
-
 def _provenance(config: RunConfig) -> dict:
-    liouville_keys = {} if config.mode == "mcwf" else {"blas_threads": _blas_threads()}
     return {
-        **liouville_keys,
         "artifact": "spinflux",
         "version": __version__,
         "config_sha256": config_hash(config),

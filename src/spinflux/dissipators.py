@@ -43,6 +43,7 @@ weights the same table with the bath rates in one pass and never forms them.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -248,13 +249,16 @@ class LindbladTerms:
             decay += r * (L.conj().T @ L)
         return self.hamiltonian.matrix - 0.5j * decay
 
-    def sandwich_terms(self) -> tuple:
+    def sandwich_terms(self) -> Iterator[tuple]:
         """``(-i, H_eff, 1)``, ``(i, 1, H_eff_dag)``, then ``(rate_k, L_k,
         L_k_dag)`` in jump order: the Lindblad generator
-        ``-i[H, rho] + sum_k rate_k (L_k rho L_k_dag - (1/2){L_k_dag L_k, rho})``."""
+        ``-i[H, rho] + sum_k rate_k (L_k rho L_k_dag - (1/2){L_k_dag L_k, rho})``.
+        Yielded one at a time, so a single pass never holds every ``L_k_dag``."""
         h_eff = self.effective_hamiltonian()
-        return ((-1j, h_eff, None), (1j, None, h_eff.conj().T),
-                *((r, L, L.conj().T) for r, L in self))
+        yield -1j, h_eff, None
+        yield 1j, None, h_eff.conj().T
+        for r, L in self:
+            yield r, L, L.conj().T
 
 
 class Generator:
@@ -342,7 +346,7 @@ class Generator:
         return tuple((xc.matrix, b) for xc, b in
                      zip(self.coupling_operators, self._filtered))
 
-    def sandwich_terms(self) -> tuple:
+    def sandwich_terms(self) -> Iterable[tuple]:
         """The whole generator as ``(c, A, B)`` terms, ``L(rho) = sum c * A
         rho B``, ``None`` standing for the identity.  Lindblad variants give
         ``LindbladTerms.sandwich_terms()``; ``redfield`` gives ``(-i, H, 1)``,

@@ -10,13 +10,20 @@ The chain's eigenvectors vanish exactly outside their total-S_z sector
 (``operators.eig_hermitian``), so the terms, and with them the assembled
 matrix, carry exact zeros: at n=5 between 0.6% (``local_diag``) and 10%
 (``secular``) of its entries are non-zero.  ``assemble`` builds the CSR
-matrix with one sparse product over the terms, and the solvers read only
-it: ``steady_state`` factorizes the trace-bordered generator once with a
-sparse LU, and ``propagate`` calls ``expm_multiply`` once per run of equally
-spaced grid points and per connected component of the non-zero pattern that
-the initial state occupies (the CLI's start states fill one of two at n=5).
-The LU's fill caps chains at ``MAX_SITES``; longer ones need the trajectory
-sampler.
+matrix with one sparse product over the terms.
+
+Every generator here preserves Hermiticity, so it is a real linear map on
+the d**2-dimensional real space of Hermitian matrices (the coherence-vector
+picture of Alicki & Lendi, Quantum Dynamical Semigroups and Applications,
+LNP 286 (1987)).  The solvers read only that map, ``Superoperator.real``,
+in the real coordinates of ``_hermitian_basis``: ``steady_state`` factorizes
+the trace-bordered real matrix once with a sparse LU, and ``propagate``
+calls ``expm_multiply`` on real vectors once per run of equally spaced grid
+points and per connected component of the real matrix's non-zero pattern
+that the initial state occupies (the CLI's start states fill one of two at
+n=5).  Every state they return is mapped back as ``unvec(U r)`` with ``r``
+real, and so is Hermitian by construction.  The LU's fill caps chains at
+``MAX_SITES``; longer ones need the trajectory sampler.
 """
 
 from __future__ import annotations
@@ -32,7 +39,8 @@ import scipy.sparse.linalg
 
 from .dissipators import Generator
 from .observables import bond_currents, local_energies
-from .operators import DimensionError, Operator, connected_blocks
+from .operators import (HERMITICITY_RTOL, DimensionError, Operator,
+                        connected_blocks)
 
 logger = logging.getLogger(__name__)
 
@@ -54,7 +62,7 @@ class DegenerateSteadyStateError(SolverError):
 @dataclass(frozen=True)
 class Superoperator:
     """Generator matrix acting on column-stacked density matrices, held as
-    CSR (``sparse``), the only form the solvers read."""
+    CSR (``sparse``); the solvers read only its real form ``real``."""
 
     sparse: scipy.sparse.csr_array
     dim: int
@@ -66,6 +74,65 @@ class Superoperator:
         m = self.sparse.toarray()
         m.flags.writeable = False
         return m
+
+    @functools.cached_property
+    def real(self) -> scipy.sparse.csr_array:
+        """``R = U^H L U`` in the coordinates of ``_hermitian_basis``, formed
+        once from ``sparse`` on first access.
+
+        Row ``m`` of ``U^H L U`` combines rows ``m`` and ``Tm`` of ``L U``,
+        ``Tm`` being the slot of the transposed entry.  When ``L`` preserves
+        Hermiticity these two rows are complex conjugates and ``U^H L U`` is
+        real, so row ``m`` of ``R`` is the real part of a multiple of row
+        ``max(m, Tm)`` of ``L U``, and only those rows are multiplied out.
+        Otherwise ``L - U R U^H``, which is ``i U Im(U^H L U) U^H`` when the
+        whole of ``U^H L U`` is formed, does not vanish.  It is measured on a
+        fixed probe of unit-modulus entries, which a violation escapes only
+        if it nearly annihilates the probe; a residue above rounding,
+        relative to the largest absolute row sum of ``L``, raises
+        ``SolverError``.
+        """
+        d = self.dim
+        l = self.sparse
+        u = _hermitian_basis(d)
+        slot = np.arange(d * d)
+        mirror = slot.reshape(d, d).T.ravel()
+        source = np.maximum(slot, mirror)
+        read = np.flatnonzero(source == slot)
+        lu_rows = (l[read] @ u)[np.searchsorted(read, source)]
+        scale = np.where(slot == mirror, 1, 2) * u[source, slot].conj()
+        lu_rows.data *= np.repeat(scale, np.diff(lu_rows.indptr))
+        r = scipy.sparse.csr_array(
+            (lu_rows.data.real.copy(), lu_rows.indices, lu_rows.indptr), shape=l.shape)
+        del lu_rows
+        r.eliminate_zeros()
+        r.sort_indices()
+
+        probe = np.exp(2j * np.pi * np.random.default_rng(0).random(d * d))
+        coords = u.conj().T @ probe
+        back = u @ (r @ coords.real + 1j * (r @ coords.imag))
+        residue = np.abs(l @ probe - back).max() / abs(l).sum(axis=1).max()
+        if residue > HERMITICITY_RTOL:
+            raise SolverError(
+                f"the generator does not preserve Hermiticity: the imaginary "
+                f"residue of its real form is {residue:.3e} of its largest "
+                f"absolute row sum, above {HERMITICITY_RTOL:.0e}")
+        return r
+
+
+def _hermitian_basis(d: int) -> scipy.sparse.csr_array:
+    """Unitary ``U`` with ``vec(rho) = U r``, ``r`` real exactly when ``rho``
+    is Hermitian: slot ``i*(d+1)`` holds ``rho_ii`` and, for ``i < j``, slot
+    ``i + d*j`` holds ``sqrt(2) Re rho_ij`` and slot ``j + d*i`` holds
+    ``sqrt(2) Im rho_ij``.  Slot 0 is ``rho_00`` in both bases."""
+    i, j = np.triu_indices(d, 1)
+    re, im = i + d * j, j + d * i
+    diag = np.arange(d) * (d + 1)
+    h = np.sqrt(0.5)
+    vals = np.repeat([1.0, h, 1j * h, h, -1j * h], [d] + [len(re)] * 4)
+    return scipy.sparse.csr_array(
+        (vals, (np.concatenate([diag, re, re, im, im]),
+                np.concatenate([diag, re, im, re, im]))), shape=(d * d, d * d))
 
 
 @dataclass(frozen=True)
@@ -114,9 +181,12 @@ def assemble(gen: Generator) -> Superoperator:
             "use the trajectory sampler for longer chains")
     d = gen.chain.dim
     eye = np.eye(d)
-    terms = gen.sandwich_terms()
-    p = _flat_rows((c * (eye if b is None else b) for c, _, b in terms), d * d)
-    q = _flat_rows((eye if a is None else a for _, a, _ in terms), d * d)
+    p_rows, q_rows = [], []
+    for c, a, b in gen.sandwich_terms():
+        p_rows.append(_nonzeros(c * (eye if b is None else b)))
+        q_rows.append(_nonzeros(eye if a is None else a))
+    p, q = _stack_rows(p_rows, d * d), _stack_rows(q_rows, d * d)
+    del p_rows, q_rows
     m = (p.T @ q).tocoo()
     (c, a), (b, e) = np.divmod(m.row, d), np.divmod(m.col, d)
     s = scipy.sparse.csr_array((m.data, (a * d + b, c * d + e)), shape=m.shape)
@@ -124,39 +194,52 @@ def assemble(gen: Generator) -> Superoperator:
     return Superoperator(sparse=s, dim=d, generator=gen)
 
 
-def _flat_rows(mats, size: int) -> scipy.sparse.csr_array:
-    """CSR matrix whose row t is the row-major flattened ``mats[t]``, of
-    ``size`` entries; its 32-bit indices, as SuperLU takes them, carry
-    through the product."""
-    cols, vals = [], []
-    for x in map(np.ravel, mats):
-        cols.append(np.flatnonzero(x))
-        vals.append(x[cols[-1]])
-    indptr = np.cumsum([0] + [len(idx) for idx in cols], dtype=np.int32)
+def _nonzeros(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions and values of the non-zeros of ``x`` flattened row-major."""
+    x = np.ravel(x)
+    idx = np.flatnonzero(x)
+    return idx, x[idx]
+
+
+def _stack_rows(rows: list, size: int) -> scipy.sparse.csr_array:
+    """CSR matrix whose row t holds the ``(positions, values)`` pair
+    ``rows[t]``, of ``size`` columns; its 32-bit indices, as SuperLU takes
+    them, carry through the product."""
+    indptr = np.cumsum([0] + [len(idx) for idx, _ in rows], dtype=np.int32)
     return scipy.sparse.csr_array(
-        (np.concatenate(vals), np.concatenate(cols, dtype=np.int32), indptr),
-        shape=(len(cols), size))
+        (np.concatenate([v for _, v in rows]),
+         np.concatenate([idx for idx, _ in rows], dtype=np.int32), indptr),
+        shape=(len(rows), size))
 
 
 def steady_state(s: Superoperator, null_tol: float = NULLSPACE_TOL) -> SteadyStateReport:
-    """Solve for the stationary density matrix with one sparse LU.
+    """Solve for the stationary density matrix with one sparse LU of the
+    real form.
 
-    The trace constraint replaces the first diagonal-component row, which the
-    trace-annihilation property of the generator makes redundant, and the
-    bordered matrix is factorized once.  The null space must be
-    one-dimensional, i.e. the bordered matrix regular: an exactly singular
-    factor, or a smallest singular value (estimated by inverse iteration on
-    the same factors) at most ``null_tol * max|L|``, raises instead of
-    silently picking a member of a degenerate stationary manifold.
+    The trace constraint replaces the first row, ``rho_00``'s, which the
+    trace-annihilation property of the generator makes redundant.  The
+    arrays of this bordered matrix in CSR are those of its transpose in
+    CSC, which is factorized once, so the solves run transposed.  ``U`` is
+    unitary, so the bordered matrix has the singular values of the complex
+    trace-bordered generator.  The null space must be one-dimensional, i.e.
+    the bordered matrix regular: an exactly singular factor, or a smallest
+    singular value (estimated by inverse iteration on the same factors) at
+    most ``null_tol * max|L|``, raises instead of silently picking a member
+    of a degenerate stationary manifold.  The state ``unvec(U x)`` is
+    Hermitian by construction.
     """
     d = s.dim
     gen = s.generator
-    weight = abs(s.sparse).max()
-    trace_row = np.zeros((1, d * d), dtype=complex)
-    trace_row[0, np.arange(d) * (d + 1)] = weight
-    bordered = scipy.sparse.vstack([trace_row, s.sparse[1:]], format="csc")
+    real = s.real
+    weight = np.abs(s.sparse.data).max()
+    diag = np.arange(d) * (d + 1)
+    cut = real.indptr[1]
+    transposed = scipy.sparse.csc_array(
+        (np.concatenate([np.full(d, weight), real.data[cut:]]),
+         np.concatenate([diag, real.indices[cut:]]),
+         np.concatenate([[0], real.indptr[1:] - cut + d])), shape=real.shape)
     try:
-        lu = scipy.sparse.linalg.splu(bordered)
+        lu = scipy.sparse.linalg.splu(transposed)
     except RuntimeError as exc:
         raise DegenerateSteadyStateError(
             f"numerical null space has dimension above 1: the trace-bordered "
@@ -170,13 +253,11 @@ def steady_state(s: Superoperator, null_tol: float = NULLSPACE_TOL) -> SteadySta
             f"value of the trace-bordered generator is {sigma:.3e} * max|L| "
             f"<= {null_tol:.1e} * max|L| (variant {gen.variant!r})")
 
-    b = np.zeros(d * d, dtype=complex)
+    b = np.zeros(d * d)
     b[0] = weight
-    rho = unvectorize(lu.solve(b), d)
-    asymmetry = np.abs(rho - rho.conj().T).max()
-    logger.debug("steady state hermitization defect %.3e", asymmetry)
-    rho = 0.5 * (rho + rho.conj().T)
-    rho /= np.trace(rho).real
+    x = lu.solve(b, trans="T")
+    x /= x[diag].sum()
+    rho = unvectorize(_hermitian_basis(d) @ x, d)
 
     residual = float(np.linalg.norm(s.sparse @ vectorize(rho)))
     eigvals = np.linalg.eigvalsh(rho)
@@ -193,17 +274,15 @@ def steady_state(s: Superoperator, null_tol: float = NULLSPACE_TOL) -> SteadySta
 
 
 def _smallest_singular_value(lu) -> float:
-    """Estimate of the smallest singular value of the factorized matrix ``A``:
-    ``INVERSE_ITERATIONS`` power steps on ``(A^H A)^-1`` from a fixed random
-    start.  The estimate approaches the true value from above; a non-finite
-    iterate (a numerically singular factor) gives 0."""
-    rng = np.random.default_rng(0)
-    size = lu.shape[0]
-    x = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    """Estimate of the smallest singular value of the factorized real matrix
+    ``A``: ``INVERSE_ITERATIONS`` power steps on ``(A^T A)^-1`` from a fixed
+    random start.  The estimate approaches the true value from above; a
+    non-finite iterate (a numerically singular factor) gives 0."""
+    x = np.random.default_rng(0).standard_normal(lu.shape[0])
     x /= np.linalg.norm(x)
     with np.errstate(all="ignore"):
         for _ in range(INVERSE_ITERATIONS):
-            x = lu.solve(lu.solve(x, trans="H"))
+            x = lu.solve(lu.solve(x, trans="T"))
             growth = np.linalg.norm(x)
             if not np.isfinite(growth) or growth == 0.0:
                 return 0.0
@@ -214,9 +293,11 @@ def _smallest_singular_value(lu) -> float:
 def propagate(s: Superoperator, rho0: Operator, times: np.ndarray) -> list[Operator]:
     """Evolve rho0 along the time grid: rho(t) = exp(S t) rho0.
 
-    ``exp(S t)`` is block diagonal on the connected components of the
-    sparse generator's non-zero pattern, so only the components on which
-    ``vec(rho0)`` is non-zero are propagated, each with its own submatrix;
+    The state is carried in real coordinates ``r = U^H vec(rho0)`` (whose
+    imaginary part, rounding of the verified Hermitian flag, is dropped)
+    under ``exp(R t)``, ``R = s.real``.  That flow is block diagonal on the
+    connected components of ``R``'s non-zero pattern, so only the components
+    on which ``r`` is non-zero are propagated, each with its own submatrix;
     every other entry stays exactly 0.  The grid, with t = 0 in front when
     it starts later, is split into maximal runs of equally spaced points;
     each run is one ``expm_multiply`` call per component (Al-Mohy & Higham,
@@ -238,9 +319,11 @@ def propagate(s: Superoperator, rho0: Operator, times: np.ndarray) -> list[Opera
 
     grid = times if times[0] == 0 else np.concatenate(([0.0], times))
     runs = _uniform_runs(grid)
-    vecs = np.zeros((len(grid), s.dim ** 2), dtype=complex)
-    vecs[0] = vectorize(rho0.matrix)
-    occupied = [idx for idx in connected_blocks(s.sparse) if vecs[0, idx].any()]
+    real = s.real
+    u = _hermitian_basis(s.dim)
+    vecs = np.zeros((len(grid), s.dim ** 2))
+    vecs[0] = (u.conj().T @ vectorize(rho0.matrix)).real
+    occupied = [idx for idx in connected_blocks(real) if vecs[0, idx].any()]
     # expm_multiply estimates norms of matrix powers with random probe
     # vectors from numpy's global generator; a fixed seed, restored after,
     # keeps the output bits independent of the caller's random state
@@ -248,7 +331,7 @@ def propagate(s: Superoperator, rho0: Operator, times: np.ndarray) -> list[Opera
     np.random.seed(0)
     try:
         for idx in occupied:
-            block = s.sparse[idx][:, idx]
+            block = real[idx][:, idx]
             for first, last in runs:
                 vecs[first + 1:last + 1, idx] = scipy.sparse.linalg.expm_multiply(
                     block, vecs[first, idx], start=0.0, stop=grid[last] - grid[first],
@@ -256,22 +339,16 @@ def propagate(s: Superoperator, rho0: Operator, times: np.ndarray) -> list[Opera
     finally:
         np.random.set_state(rng_state)
     vecs = vecs[len(grid) - len(times):]
-
-    out = []
-    worst = 0.0
-    for t, v in zip(times, vecs):
-        rho = unvectorize(v, s.dim)
-        drift = abs(np.trace(rho) - 1.0)
-        if drift > TRACE_DRIFT_TOL:
-            raise SolverError(f"trace drift {drift:.3e} at t={t} exceeds "
-                              f"{TRACE_DRIFT_TOL}")
-        worst = max(worst, drift)
-        out.append(Operator(0.5 * (rho + rho.conj().T), hermitian=True))
+    drifts = np.abs(vecs[:, np.arange(s.dim) * (s.dim + 1)].sum(axis=1) - 1.0)
+    if drifts.max() > TRACE_DRIFT_TOL:
+        bad = np.argmax(drifts > TRACE_DRIFT_TOL)
+        raise SolverError(f"trace drift {drifts[bad]:.3e} at t={times[bad]} "
+                          f"exceeds {TRACE_DRIFT_TOL}")
     logger.info("propagation: %d expm_multiply run(s) over %d points on %d "
                 "occupied component(s), %d of %d entries, worst trace drift "
                 "%.3e", len(runs), len(times), len(occupied),
-                sum(map(len, occupied)), s.dim ** 2, worst)
-    return out
+                sum(map(len, occupied)), s.dim ** 2, drifts.max())
+    return [Operator(unvectorize(v, s.dim), hermitian=True) for v in (u @ vecs.T).T]
 
 
 def _uniform_runs(grid: np.ndarray) -> list[tuple[int, int]]:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spinflux
 from spinflux import cli, operators
 from spinflux.cli import main
 
@@ -51,17 +56,28 @@ class TestSteadyMode:
         assert "config_sha256" in prov and "version" in prov
         assert prov["tolerances"]["nullspace"] == 1e-10
 
-    def test_liouville_artifacts_record_blas_threads(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        cfg = write_config(tmp_path, BASE + "mode = steady\nvariant = weak_coupling\n")
-        assert main(["run", str(cfg), "--out", str(tmp_path / "s")]) == 0
-        prov = json.loads((tmp_path / "s" / "steady.json").read_text())["provenance"]
-        assert prov["blas_threads"] == 1
-        # the trajectory sampler's output does not depend on it
-        cfg = write_config(tmp_path, BASE + "mode = mcwf\nvariant = weak_coupling\n")
-        assert main(["run", str(cfg), "--out", str(tmp_path / "m"),
-                     "--realizations", "4"]) == 0
-        assert "blas_threads" not in (tmp_path / "m" / "mcwf.csv").read_text()
+    def test_artifacts_independent_of_blas_threads(self, tmp_path):
+        # n=5, where a complex sparse LU used to round with the thread count
+        text = BASE.replace("chain.n = 3", "chain.n = 5")
+        runs = {"compare": write_config(tmp_path, text + "mode = compare\n", "c.conf"),
+                "steady": write_config(
+                    tmp_path, text + "mode = steady\nvariant = secular\n", "s.conf")}
+        src = str(Path(spinflux.__file__).resolve().parents[1])
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            for mode, cfg in runs.items():
+                subprocess.run([sys.executable, "-m", "spinflux.cli", "run", str(cfg),
+                                "--out", str(tmp_path / threads / mode),
+                                "--realizations", "8"],
+                               env=env, capture_output=True, check=True)
+        files = sorted(p.relative_to(tmp_path / "1")
+                       for p in (tmp_path / "1").rglob("*.*"))
+        assert [str(f) for f in files] == ["compare/compare.csv", "compare/steady.json",
+                                           "steady/steady.json"]
+        for f in files:
+            assert (tmp_path / "1" / f).read_bytes() == (tmp_path / "2" / f).read_bytes()
 
     def test_equal_temperature_currents_vanish(self, tmp_path):
         text = BASE.replace("bath.left.beta = 0.41", "bath.left.beta = 1.39")

@@ -16,9 +16,9 @@ from spinflux.bath import BathSpec
 from spinflux.chain import ChainSpec
 from spinflux.dissipators import Generator
 from spinflux.liouville import (NULLSPACE_TOL, DegenerateSteadyStateError,
-                                SolverError, Superoperator, apply, assemble,
-                                expectation_series, propagate, steady_state,
-                                unvectorize, vectorize)
+                                SolverError, Superoperator, _hermitian_basis,
+                                apply, assemble, expectation_series, propagate,
+                                steady_state, unvectorize, vectorize)
 from spinflux.observables import gibbs_state, trace_distance
 from spinflux.operators import DimensionError, Operator, connected_blocks, eig_hermitian
 from spinflux.chain import build_current_operator
@@ -30,22 +30,32 @@ ALL_VARIANTS = ("redfield", "secular", "weak_coupling", "local_diag")
 LINDBLAD = ("secular", "weak_coupling", "local_diag")
 
 
-# sha256 of the CSR arrays of every variant's n=5 Liouvillian, one line each
-ASSEMBLY_DIGESTS = """
+# sha256 of every variant's n=5 Liouvillian (its CSR arrays), steady state
+# and 41-point propagation from the maximally mixed state, one line each
+LIOUVILLE_DIGESTS = """
 import hashlib
+import numpy as np
 from spinflux.bath import BathSpec
 from spinflux.chain import ChainSpec
 from spinflux.dissipators import VARIANTS, Generator
-from spinflux.liouville import assemble
+from spinflux.liouville import assemble, propagate, steady_state
+from spinflux.operators import Operator
 chain = ChainSpec(n=5, field=1.0, exchange=0.01)
 baths = (BathSpec(beta=0.41, coupling=0.01, side="left"),
          BathSpec(beta=1.39, coupling=0.01, side="right"))
+rho0 = Operator(np.eye(32, dtype=complex) / 32, hermitian=True)
+def digest(parts):
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(np.ascontiguousarray(part).tobytes())
+    return h.hexdigest()
 for variant in VARIANTS:
-    m = assemble(Generator(variant, chain, *baths)).sparse
-    digest = hashlib.sha256()
-    for part in (m.data, m.indices, m.indptr):
-        digest.update(part.tobytes())
-    print(variant, digest.hexdigest())
+    s = assemble(Generator(variant, chain, *baths))
+    m = s.sparse
+    print(variant, "assemble", digest((m.data, m.indices, m.indptr)))
+    print(variant, "steady", digest([steady_state(s).state.matrix]))
+    states = propagate(s, rho0, np.linspace(0.0, 400.0, 41))
+    print(variant, "propagate", digest(state.matrix for state in states))
 """
 
 
@@ -67,7 +77,7 @@ class TestAssemble:
     def test_action_equivalence(self, variant):
         gen = make_generator(variant)
         s = assemble(gen)
-        terms = gen.sandwich_terms()
+        terms = tuple(gen.sandwich_terms())
         rng = np.random.default_rng(31)
         for _ in range(20):
             rho = random_hermitian(rng, 8)
@@ -147,11 +157,25 @@ class TestAssemble:
             env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
                    "PYTHONPATH": os.pathsep.join(
                        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-            done = subprocess.run([sys.executable, "-c", ASSEMBLY_DIGESTS], env=env,
+            done = subprocess.run([sys.executable, "-c", LIOUVILLE_DIGESTS], env=env,
                                   capture_output=True, text=True, check=True)
             outputs.append(done.stdout)
-        assert len(outputs[0].splitlines()) == 4
+        assert len(outputs[0].splitlines()) == 12
         assert outputs[0] == outputs[1]
+
+    def test_secular_assembly_peak(self):
+        # sandwich_terms yields each channel's adjoint in turn; holding all
+        # 1,116 of them at once added 73 MB to a 182 MiB traced peak
+        gen = make_generator("secular", chain=ChainSpec(n=6, field=1.0,
+                                                        exchange=0.01))
+        gen.lindblad_terms()
+        tracemalloc.start()
+        try:
+            assemble(gen)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 2 ** 20
 
     @pytest.mark.parametrize("n", [3, 4])
     @pytest.mark.parametrize("variant", ALL_VARIANTS)
@@ -172,6 +196,47 @@ class TestAssemble:
                 want += r * np.kron(L.conj(), L)
             want -= 0.5 * (np.kron(eye, decay) + np.kron(decay.T, eye))
         assert np.abs(assemble(gen).matrix - want).max() <= 1e-15
+
+
+class TestRealForm:
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    def test_unitary_basis_carries_the_generator(self, variant, n):
+        s = assemble(make_generator(variant, chain=ChainSpec(n=n, field=1.0,
+                                                             exchange=0.01)))
+        u = _hermitian_basis(s.dim)
+        assert np.abs((u.conj().T @ u).toarray() - np.eye(s.dim ** 2)).max() <= 1e-15
+        assert s.real.dtype == np.float64
+        back = (u @ s.real @ u.conj().T).toarray()
+        assert np.abs(back - s.matrix).max() <= 1e-15 * np.abs(s.matrix).max()
+
+    @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    def test_bordered_singular_values_match_complex(self, variant):
+        s = assemble(make_generator(variant))
+        diag = np.arange(8) * 9
+        weight = np.abs(s.matrix).max()
+        singular = []
+        for m in (s.matrix.copy(), s.real.toarray()):
+            m[0] = 0.0
+            m[0, diag] = weight
+            singular.append(np.linalg.svd(m, compute_uv=False))
+        assert np.abs(singular[0] - singular[1]).max() <= 1e-12 * singular[0][0]
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    def test_states_hermitian_by_construction(self, variant, n):
+        gen = make_generator(variant, chain=ChainSpec(n=n, field=1.0, exchange=0.01))
+        s = assemble(gen)
+        d = s.dim
+        rng = np.random.default_rng(13)
+        m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        m = m @ m.conj().T
+        starts = (maximally_mixed(d), Operator(m / np.trace(m), hermitian=True))
+        states = [steady_state(s).state]
+        for rho0 in starts:
+            states += propagate(s, rho0, np.array([0.0, 0.7, 1.4, 30.0, 400.0]))
+        for state in states:
+            assert np.array_equal(state.matrix, state.matrix.conj().T)
 
 
 class TestSteadyState:
@@ -313,19 +378,31 @@ class TestPropagate:
             propagate(s, maximally_mixed(8), np.array([1.0, 0.5]))
 
     def test_jordan_block_matches_closed_form(self):
-        # populations at rest, coherences (rho_10, rho_01) under the Jordan
-        # block [[-1, 1], [0, -1]]: no eigenbasis exists
+        # populations at rest; the coherence rho_01 = x + iy under the Jordan
+        # block dx/dt = -x + y, dy/dt = -y, written on vec(rho):
+        # d rho_01/dt = -(1 + i/2) rho_01 + (i/2) rho_10 and its conjugate
+        m = np.zeros((4, 4), dtype=complex)
+        m[2, 2], m[2, 1] = -1.0 - 0.5j, 0.5j
+        m[1, 1], m[1, 2] = -1.0 + 0.5j, -0.5j
+        s = Superoperator(sparse=scipy.sparse.csr_array(m), dim=2, generator=None)
+        rho0 = Operator(np.array([[0.5, 0.2 + 0.1j], [0.2 - 0.1j, 0.5]]), hermitian=True)
+        times = np.array([0.0, 0.5, 1.0, 3.0, 10.0])
+        for t, state in zip(times, propagate(s, rho0, times)):
+            rho01 = (0.2 + 0.1 * t + 0.1j) * math.exp(-t)
+            want = np.array([[0.5, rho01], [np.conj(rho01), 0.5]])
+            assert np.abs(state.matrix - want).max() <= 1e-12
+
+    def test_generator_breaking_hermiticity_is_an_error(self):
+        # the Jordan block [[-1, 1], [0, -1]] on (rho_10, rho_01) maps a
+        # Hermitian state to a non-Hermitian one
         m = np.zeros((4, 4), dtype=complex)
         m[1, 1], m[1, 2], m[2, 2] = -1.0, 1.0, -1.0
         s = Superoperator(sparse=scipy.sparse.csr_array(m), dim=2, generator=None)
         rho0 = Operator(np.array([[0.5, 0.2], [0.2, 0.5]]), hermitian=True)
-        times = np.array([0.0, 0.5, 1.0, 3.0, 10.0])
-        for t, state in zip(times, propagate(s, rho0, times)):
-            rho01 = 0.2 * math.exp(-t)
-            rho10 = (0.2 + 0.2 * t) * math.exp(-t)
-            want = np.array([[0.5, rho01], [rho10, 0.5]])
-            want = 0.5 * (want + want.conj().T)  # propagate returns the hermitian part
-            assert np.abs(state.matrix - want).max() <= 1e-12
+        with pytest.raises(SolverError, match="does not preserve Hermiticity"):
+            propagate(s, rho0, np.array([0.0, 1.0]))
+        with pytest.raises(SolverError, match="does not preserve Hermiticity"):
+            steady_state(s)
 
     def test_nonuniform_grid_matches_dense_expm(self):
         s = assemble(make_generator("redfield"))
