@@ -22,8 +22,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-SPECTRAL_KINDS = ("ohmic",)
-
 
 @dataclass(frozen=True)
 class BathSpec:
@@ -32,7 +30,6 @@ class BathSpec:
     beta: float
     coupling: float
     side: str
-    spectral_kind: str = "ohmic"
 
     def __post_init__(self):
         if not self.beta > 0:
@@ -41,8 +38,6 @@ class BathSpec:
             raise ValueError(f"bath coupling must be >= 0, got {self.coupling}")
         if self.side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', got {self.side!r}")
-        if self.spectral_kind not in SPECTRAL_KINDS:
-            raise ValueError(f"unsupported spectral density {self.spectral_kind!r}")
 
 
 def planck(omega: float, beta: float) -> float:
@@ -56,10 +51,8 @@ def planck(omega: float, beta: float) -> float:
     return 1.0 / math.expm1(x)
 
 
-def spectral_density(omega: float, kind: str = "ohmic") -> float:
+def spectral_density(omega: float) -> float:
     """Ohmic density: omega for omega > 0, zero otherwise."""
-    if kind != "ohmic":
-        raise ValueError(f"unsupported spectral density {kind!r}")
     return omega if omega > 0.0 else 0.0
 
 
@@ -69,5 +62,5 @@ def rate(omega: float, bath: BathSpec) -> float:
     when beta*omega is zero or subnormal (planck would see a pole or inf)."""
     if abs(bath.beta * omega) < sys.float_info.min:
         return bath.coupling / (2.0 * bath.beta)
-    odd = spectral_density(omega, bath.spectral_kind) - spectral_density(-omega, bath.spectral_kind)
+    odd = spectral_density(omega) - spectral_density(-omega)
     return 0.5 * bath.coupling * odd * planck(omega, bath.beta)

@@ -215,17 +215,10 @@ def with_overrides(config: RunConfig, *, mode: str | None = None,
                    master_seed: int | None = None,
                    realizations: int | None = None) -> RunConfig:
     """Apply command-line overrides and re-validate the combination."""
-    updated = config
-    if mode is not None:
-        updated = replace(updated, mode=mode)
-    if variant is not None:
-        updated = replace(updated, variant=variant)
-    if output_dir is not None:
-        updated = replace(updated, output_dir=output_dir)
-    if master_seed is not None:
-        updated = replace(updated, master_seed=master_seed)
-    if realizations is not None:
-        updated = replace(updated, realizations=realizations)
-    if updated is not config:
-        updated = parse_config(serialize_config(updated))
-    return updated
+    changes = {name: value for name, value in (
+        ("mode", mode), ("variant", variant), ("output_dir", output_dir),
+        ("master_seed", master_seed), ("realizations", realizations))
+        if value is not None}
+    if not changes:
+        return config
+    return parse_config(serialize_config(replace(config, **changes)))

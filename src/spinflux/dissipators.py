@@ -49,7 +49,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bath import BathSpec, rate, spectral_density
+from .bath import BathSpec, rate
 from .chain import (ChainSpec, build_coupling_operator, build_hamiltonian,
                     contact_site)
 from .operators import (PAULI, EigenSystem, Operator, eig_hermitian, embedded_sum,

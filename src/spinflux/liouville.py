@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import functools
 import logging
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +38,7 @@ import scipy.sparse.linalg
 
 from .dissipators import Generator
 from .observables import bond_currents, local_energies
+from .observables import expectation_series  # re-exported for existing callers
 from .operators import (HERMITICITY_RTOL, DimensionError, Operator,
                         connected_blocks)
 
@@ -365,22 +365,3 @@ def _uniform_runs(grid: np.ndarray) -> list[tuple[int, int]]:
         runs.append((first, last))
         first = last
     return runs
-
-
-def expectation_series(states: list[Operator], obs: Operator) -> np.ndarray:
-    """Expectation value of one observable along a list of states; the
-    imaginary residue is discarded (with a warning if it is not negligible)."""
-    values = np.empty(len(states))
-    worst = 0.0
-    for i, rho in enumerate(states):
-        if rho.dim != obs.dim:
-            raise DimensionError(f"state dim {rho.dim} != observable dim {obs.dim}")
-        z = np.trace(rho.matrix @ obs.matrix)
-        worst = max(worst, abs(z.imag))
-        values[i] = z.real
-    if worst > 1e-10:
-        warnings.warn(f"imaginary residue {worst:.3e} in expectation series "
-                      "exceeds 1e-10", stacklevel=2)
-    else:
-        logger.debug("expectation series imaginary residue %.3e discarded", worst)
-    return values

@@ -10,12 +10,12 @@ H_eff splits into the connected blocks of its non-zero pattern (for the
 chain, the total-S_z sectors).  Each block is diagonalized once per
 ensemble, and every batch (in any worker process) shares the result, so
 between events a state is advanced in closed form, ``c <- exp(-i Lambda
-dt) c`` in eigen-coordinates, and its squared norm ``c^dag G c`` (with ``G =
-V^dag V``) is known at every time together with its derivative ``-c^dag W
-c`` (``W = V^dag i(H_eff - H_eff^dag) V``, positive semidefinite).  Each jump
-time is the root of the monotone norm minus the threshold, found by a
-bracketed, safeguarded Newton iteration to ``JUMP_TIME_RTOL``; the sampler
-has no time-step bias.  A block whose eigenvector matrix is worse
+dt) c`` in eigen-coordinates.  Its amplitudes ``psi = V c`` give the squared
+norm ``|psi|^2`` at every time, and its derivative ``-psi^dag D psi`` with
+``D = i(H_eff - H_eff^dag)``, positive semidefinite.  Each jump time is the
+root of the monotone norm minus the threshold, found by a bracketed,
+safeguarded Newton iteration to ``JUMP_TIME_RTOL``; the sampler has no
+time-step bias.  A block whose eigenvector matrix is worse
 conditioned than ``EIGVEC_CONDITION_LIMIT`` (near an exceptional point) is
 advanced with ``scipy.linalg.expm`` of the block instead, one stacked call
 per advance for all columns.  The stacked jump operators and the observables
@@ -23,8 +23,8 @@ are applied as CSR matrices: a chain jump or bond current has at most one
 non-zero per row.
 
 Before it allocates, ``run_ensemble`` checks that the dense matrices it is
-about to hold fit in the memory available now, and raises
-``DimensionError`` if they do not.
+about to allocate, and the observables, fit in the memory available now, and
+raises ``DimensionError`` if they do not.
 
 Reproducibility contract: trajectory ``r`` of a run with master seed ``m``
 draws from a private Philox stream keyed by the 128-bit integer
@@ -56,7 +56,10 @@ BATCH_SIZE = 256
 EIGVEC_CONDITION_LIMIT = 1e4
 JUMP_TIME_RTOL = 1e-12
 MAX_ROOT_ITERATIONS = 100
-KERNEL_DENSE_MATRICES = 4  # V, V^-1, gram and decay
+# d x d arrays run_ensemble allocates at its traced peak: H_eff, D, V, V^-1
+# and the build temporaries (4.2 at n=9 from a pure state; a mixed one adds
+# its eigenvectors)
+KERNEL_DENSE_MATRICES = 5
 _MASK64 = (1 << 64) - 1
 
 
@@ -66,10 +69,16 @@ class NormCollapseError(RuntimeError):
 
 def check_memory(dim: int, observables: int) -> None:
     """Raise ``DimensionError`` unless ``observables`` dense ``dim x dim``
-    observables plus the kernel's dense matrices fit in available memory."""
+    observables plus the dense matrices ``run_ensemble`` allocates fit in
+    available memory."""
     require_memory((observables + KERNEL_DENSE_MATRICES) * 16 * dim * dim,
                    f"a trajectory ensemble at dimension {dim} with "
                    f"{observables} observable(s)")
+
+
+def _norms2(psi: np.ndarray) -> np.ndarray:
+    """Squared norm of each column of ``psi``."""
+    return np.einsum("ij,ij->j", psi.conj(), psi).real
 
 
 def split_seed(master_seed: int, index: int) -> int:
@@ -105,8 +114,11 @@ class TrajectoryEnsembleResult:
 
 
 def effective_hamiltonian(h: Operator, terms: LindbladTerms) -> Operator:
-    """Non-Hermitian drift H - (i/2) sum_k rate_k L_k_dag L_k; ``h`` must be
-    the Hamiltonian the terms carry (``LindbladTerms.effective_hamiltonian``)."""
+    """Non-Hermitian drift H - (i/2) sum_k rate_k L_k_dag L_k as an Operator.
+
+    ``h`` can only be ``terms.hamiltonian``, so this wraps
+    ``LindbladTerms.effective_hamiltonian``; it stays for callers outside the
+    package that pass the Hamiltonian."""
     if h.dim != terms.hamiltonian.dim:
         raise DimensionError(f"hamiltonian dim {h.dim} != jump dim "
                              f"{terms.hamiltonian.dim}")
@@ -118,11 +130,11 @@ def effective_hamiltonian(h: Operator, terms: LindbladTerms) -> Operator:
 class _BatchKernel:
     """Event-driven propagation for one (H_eff, jumps, grid) triple.
 
-    States are held in coordinates ``x`` with ``psi = V x``: eigen-coordinates
-    on diagonalizable blocks, and plain amplitudes (``V = 1``) on the blocks
-    advanced by ``expm``.  In these coordinates ``gram = V^dag V`` gives the
-    squared norm and ``decay = V^dag i(H_eff - H_eff^dag) V`` minus its rate
-    of change.
+    States are held in coordinates ``x`` with amplitudes ``psi = V x``:
+    eigen-coordinates on diagonalizable blocks, and plain amplitudes (``V =
+    1``) on the blocks advanced by ``expm``.  The dense matrices are ``v``,
+    ``v_inv`` and ``decay = i(H_eff - H_eff^dag)``, which on amplitudes gives
+    minus the rate of change of the squared norm.
     """
 
     def __init__(self, h_eff: np.ndarray, terms: LindbladTerms, times: np.ndarray):
@@ -135,7 +147,7 @@ class _BatchKernel:
         jumps = [scipy.sparse.csr_array(L) for L in terms.jumps]
         self.stacked = (scipy.sparse.vstack(jumps, format="csr") if jumps
                         else scipy.sparse.csr_array((0, dim), dtype=complex))
-        decay = 1j * (h_eff - h_eff.conj().T)
+        self.decay = 1j * (h_eff - h_eff.conj().T)
         self.eigenvalues = np.zeros(dim, dtype=complex)
         self.v = np.zeros((dim, dim), dtype=complex)
         self.v_inv = np.zeros((dim, dim), dtype=complex)
@@ -152,8 +164,6 @@ class _BatchKernel:
                 self.v[idx, idx] = 1.0
                 self.v_inv[idx, idx] = 1.0
                 self.expm_blocks.append((idx, block))
-        self.gram = self.v.conj().T @ self.v
-        self.decay = self.v.conj().T @ decay @ self.v
 
     def run(self, psi0: np.ndarray, rngs: list, jump_log: list | None = None):
         """Propagate a batch (columns of psi0) along the grid.
@@ -168,11 +178,11 @@ class _BatchKernel:
         thresholds = np.array([rng.random() for rng in rngs])
 
         x = self.v_inv @ psi
-        yield psi / np.sqrt(np.einsum("ij,ij->j", psi.conj(), psi).real)
+        yield psi / np.sqrt(_norms2(psi))
         for t, t_next in zip(self.times[:-1], self.times[1:]):
             self._interval(x, t, t_next, rngs, thresholds, jump_log)
             psi = self.v @ x
-            yield psi / np.sqrt(np.einsum("ij,ij->j", psi.conj(), psi).real)
+            yield psi / np.sqrt(_norms2(psi))
 
     def _interval(self, x: np.ndarray, t: float, t_next: float, rngs: list,
                   thresholds: np.ndarray, jump_log: list | None) -> None:
@@ -183,7 +193,7 @@ class _BatchKernel:
         while active.size:
             seg = x[:, active]
             end = self._advance(seg, t_next - start[active])
-            norms2 = self._norm2(end)
+            norms2 = _norms2(self.v @ end)
             crossed = norms2 <= thresholds[active]
             bad = np.flatnonzero(~crossed & (norms2 < NORM_COLLAPSE))
             if bad.size:
@@ -210,21 +220,18 @@ class _BatchKernel:
             out[idx] = np.einsum("jab,bj->aj", flows, x[idx])
         return out
 
-    def _norm2(self, x: np.ndarray) -> np.ndarray:
-        return np.einsum("ij,ij->j", x.conj(), self.gram @ x).real
-
     def _crossing_time(self, x: np.ndarray, thresholds: np.ndarray,
                        spans: np.ndarray, end_norms2: np.ndarray,
                        tol: float) -> np.ndarray:
         """Per column, the time ``tau`` in ``(0, span]`` at which the squared
         norm of ``advance(x, tau)`` falls to its threshold, to ``tol``.
 
-        Newton on the closed-form norm, whose derivative is ``-x^dag W x``;
-        a step that leaves the bracket is replaced by bisection.
+        Newton on the closed-form norm, whose derivative is ``-psi^dag D
+        psi``; a step that leaves the bracket is replaced by bisection.
         """
         lo = np.zeros_like(spans)
         hi = spans.copy()
-        start_norms2 = self._norm2(x)
+        start_norms2 = _norms2(self.v @ x)
         # exact for a single decay rate: the norm is then exp(-rate * tau)
         with np.errstate(divide="ignore", invalid="ignore"):
             tau = spans * (np.log(start_norms2 / thresholds)
@@ -232,9 +239,9 @@ class _BatchKernel:
         tau = np.where(np.isfinite(tau), np.clip(tau, lo, hi), 0.5 * hi)
         todo = np.arange(len(spans))
         for _ in range(MAX_ROOT_ITERATIONS):
-            y = self._advance(x[:, todo], tau[todo])
-            f = self._norm2(y) - thresholds[todo]
-            slope = -np.einsum("ij,ij->j", y.conj(), self.decay @ y).real
+            psi = self.v @ self._advance(x[:, todo], tau[todo])
+            f = _norms2(psi) - thresholds[todo]
+            slope = -np.einsum("ij,ij->j", psi.conj(), self.decay @ psi).real
             above = f > 0
             lo[todo] = np.where(above, tau[todo], lo[todo])
             hi[todo] = np.where(above, hi[todo], tau[todo])
@@ -363,7 +370,6 @@ def run_ensemble(terms: LindbladTerms, initial, times: np.ndarray,
         if op.dim != dim:
             raise DimensionError(f"observable {name!r} dim {op.dim} != {dim}")
     check_memory(dim, len(observables))
-    h_eff = effective_hamiltonian(terms.hamiltonian, terms)
     vectors, cum, initial_kind = _initial_states(initial)
     obs_names = list(observables)
     obs_mats = [scipy.sparse.csr_array(observables[name].matrix)
@@ -371,8 +377,8 @@ def run_ensemble(terms: LindbladTerms, initial, times: np.ndarray,
 
     if workers is None:
         workers = int(os.environ.get("SPINFLUX_WORKERS", "1"))
-    batch_args = (_BatchKernel(h_eff.matrix, terms, times), obs_mats, vectors,
-                  cum, master_seed)
+    batch_args = (_BatchKernel(terms.effective_hamiltonian(), terms, times),
+                  obs_mats, vectors, cum, master_seed)
     spans = [(s, min(BATCH_SIZE, realizations - s))
              for s in range(0, realizations, BATCH_SIZE)]
 

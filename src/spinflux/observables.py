@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import logging
 import warnings
 from dataclasses import dataclass
 
@@ -10,6 +11,8 @@ import numpy as np
 from .chain import (ChainSpec, build_current_operator, build_hamiltonian,
                     build_local_hamiltonian_site)
 from .operators import DimensionError, EigenSystem, Operator, eig_hermitian
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -44,31 +47,36 @@ def reported_current_operator(spec: ChainSpec, bond: int) -> Operator:
     return build_current_operator(spec, bond, sign=REPORTED_CURRENT_SIGN)
 
 
-def _real_expectation(rho: Operator, obs: Operator, label: str) -> float:
-    if rho.dim != obs.dim:
-        raise DimensionError(f"state dim {rho.dim} != {label} dim {obs.dim}")
-    z = np.trace(rho.matrix @ obs.matrix)
-    if abs(z.imag) > 1e-10:
-        warnings.warn(f"imaginary residue {abs(z.imag):.3e} in {label} discarded",
-                      stacklevel=3)
-    return float(z.real)
+def expectation_series(states: list[Operator], obs: Operator) -> np.ndarray:
+    """Expectation value of one observable along a list of states; the
+    imaginary residue is discarded (with a warning if it is not negligible)."""
+    values = np.empty(len(states))
+    worst = 0.0
+    for i, rho in enumerate(states):
+        if rho.dim != obs.dim:
+            raise DimensionError(f"state dim {rho.dim} != observable dim {obs.dim}")
+        z = np.trace(rho.matrix @ obs.matrix)
+        worst = max(worst, abs(z.imag))
+        values[i] = z.real
+    if worst > 1e-10:
+        warnings.warn(f"imaginary residue {worst:.3e} in expectation series "
+                      "exceeds 1e-10", stacklevel=2)
+    else:
+        logger.debug("expectation series imaginary residue %.3e discarded", worst)
+    return values
 
 
 def bond_currents(rho: Operator, spec: ChainSpec) -> np.ndarray:
     """Energy current on each bond in the reporting sign convention."""
-    return np.array([
-        _real_expectation(rho, reported_current_operator(spec, b), f"bond {b} current")
-        for b in range(1, spec.n)
-    ])
+    return np.array([expectation_series([rho], reported_current_operator(spec, b))[0]
+                     for b in range(1, spec.n)])
 
 
 def local_energies(rho: Operator, spec: ChainSpec) -> np.ndarray:
     """Local field energy at each site, tr(rho H_loc(site))."""
     return np.array([
-        _real_expectation(rho, build_local_hamiltonian_site(spec, site),
-                          f"site {site} energy")
-        for site in range(1, spec.n + 1)
-    ])
+        expectation_series([rho], build_local_hamiltonian_site(spec, site))[0]
+        for site in range(1, spec.n + 1)])
 
 
 def diagonality_defect(rho: Operator, basis: EigenSystem) -> float:

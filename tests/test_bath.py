@@ -21,10 +21,6 @@ class TestSpec:
         with pytest.raises(ValueError, match="coupling"):
             make_bath(coupling=-0.1)
 
-    def test_rejects_unknown_density(self):
-        with pytest.raises(ValueError, match="spectral"):
-            BathSpec(beta=1.0, coupling=0.1, side="left", spectral_kind="lorentz")
-
 
 class TestPlanck:
     def test_log2_value(self):

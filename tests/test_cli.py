@@ -203,8 +203,8 @@ class TestFailureModes:
         assert record["exit_code"] == 3
 
     def test_mcwf_memory_preflight_exit_code_and_record(self, tmp_path, monkeypatch):
-        # 5 observables + 4 kernel matrices at d = 8 need 9216 bytes
-        monkeypatch.setattr(operators, "available_memory", lambda: 9215)
+        # 5 observables + 5 ensemble matrices at d = 8 need 10240 bytes
+        monkeypatch.setattr(operators, "available_memory", lambda: 10239)
         cfg = write_config(tmp_path, BASE + "mode = mcwf\nvariant = weak_coupling\n")
         out = tmp_path / "o"
         assert main(["run", str(cfg), "--out", str(out)]) == 3

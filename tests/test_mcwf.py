@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.optimize
 import scipy.sparse
 import scipy.stats
 
@@ -147,6 +151,30 @@ class TestTrajectory:
                                      np.array([0.0, want + 1.0]), seed)
             assert abs(traj.jump_times[0] - want) <= 1e-12 * max(want, 1.0)
 
+    def test_first_jump_time_is_exact_on_chain(self):
+        # two channels with different rates: the squared norm is no single
+        # exponential, so the Newton iteration has to converge on its own
+        gen = Generator("weak_coupling", FIG_CHAIN, LEFT, RIGHT)
+        terms = gen.lindblad_terms()
+        h_eff = terms.effective_hamiltonian()
+        psi0 = np.zeros(8, dtype=complex)
+        psi0[1] = 1.0
+
+        def norm2(t):
+            return np.linalg.norm(scipy.linalg.expm(-1j * t * h_eff) @ psi0) ** 2
+
+        for r in range(20):
+            seed = split_seed(505, r)
+            u = _rng_for(seed).random()
+            hi = 1.0
+            while norm2(hi) > u:
+                hi *= 2.0
+            want = scipy.optimize.brentq(lambda t: norm2(t) - u, 0.0, hi,
+                                         xtol=1e-14, rtol=4 * np.finfo(float).eps)
+            traj = evolve_trajectory(Operator(h_eff), terms, psi0,
+                                     np.array([0.0, want + 1.0]), seed)
+            assert abs(traj.jump_times[0] - want) <= 1e-10 * max(want, 1.0)
+
 
 class TestBlocks:
     def test_n5_sectors_split_h_eff_exactly(self):
@@ -270,16 +298,37 @@ class TestEnsemble:
         assert len(calls) == 1
 
     def test_memory_preflight_refuses_before_allocating(self, monkeypatch):
-        # (1 observable + 4 kernel matrices) * 16 bytes * 2 * 2 = 320 bytes
-        monkeypatch.setattr(operators, "available_memory", lambda: 319)
+        # (1 observable + 5 ensemble matrices) * 16 bytes * 2 * 2 = 384 bytes
+        monkeypatch.setattr(operators, "available_memory", lambda: 383)
         with pytest.raises(DimensionError, match="memory available"):
             run_ensemble(damping_terms(), EXCITED, np.array([0.0, 1.0]),
                          {"sz": pauli("z")}, realizations=1, master_seed=1)
 
     def test_memory_preflight_passes_when_memory_suffices(self, monkeypatch):
-        monkeypatch.setattr(operators, "available_memory", lambda: 320)
+        monkeypatch.setattr(operators, "available_memory", lambda: 384)
         run_ensemble(damping_terms(), EXCITED, np.array([0.0, 1.0]),
                      {"sz": pauli("z")}, realizations=1, master_seed=1)
+
+    def test_memory_preflight_covers_traced_peak(self, monkeypatch):
+        # n=9: what the preflight requires bounds what run_ensemble allocates
+        chain = ChainSpec(n=9, field=1.0, exchange=0.01)
+        gen = Generator("weak_coupling", chain, LEFT, RIGHT)
+        terms = gen.lindblad_terms()
+        obs = {"j": reported_current_operator(chain, 1)}
+        psi0 = np.zeros(chain.dim, dtype=complex)
+        psi0[1] = 1.0
+        required = []
+        monkeypatch.setattr(mcwf, "require_memory",
+                            lambda nbytes, what: required.append(nbytes))
+        mcwf.check_memory(chain.dim, 1)
+        tracemalloc.start()
+        try:
+            run_ensemble(terms, psi0, np.linspace(0.0, 40.0, 5), obs,
+                         realizations=8, master_seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= required[0]
 
     def test_result_reproducible(self):
         terms = damping_terms()
