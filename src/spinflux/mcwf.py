@@ -8,14 +8,17 @@ channel is selected with probability proportional to rate * |L psi|^2.
 
 H_eff splits into the connected blocks of its non-zero pattern (for the
 chain, the total-S_z sectors).  Each block is diagonalized once per
-ensemble, and every batch (in any worker process) shares the result, so
-between events a state is advanced in closed form, ``c <- exp(-i Lambda
+ensemble, and every batch (in any worker process) shares the result, so a
+state is advanced from its last jump in closed form, ``c <- exp(-i Lambda
 dt) c`` in eigen-coordinates.  Its amplitudes ``psi = V c`` give the squared
 norm ``|psi|^2`` at every time, and its derivative ``-psi^dag D psi`` with
-``D = i(H_eff - H_eff^dag)``, positive semidefinite.  Each jump time is the
-root of the monotone norm minus the threshold, found by a bracketed,
-safeguarded Newton iteration to ``JUMP_TIME_RTOL``; the sampler has no
-time-step bias.  A block whose eigenvector matrix is worse
+``D = i(H_eff - H_eff^dag)``, positive semidefinite.  A batch moves from jump
+to jump, one round per jump, whatever the length of the grid.  Each jump time
+is the root of the log of the monotone norm minus the log of the threshold,
+found by a bracketed, safeguarded Newton iteration to ``JUMP_TIME_RTOL`` of
+the jump's time; the sampler has no time-step bias.  The grid samples are
+advanced from each column's last jump, in blocks of at most ``BATCH_SIZE``
+states.  A block whose eigenvector matrix is worse
 conditioned than ``EIGVEC_CONDITION_LIMIT`` (near an exceptional point) is
 advanced with ``scipy.linalg.expm`` of the block instead, one stacked call
 per advance for all columns.  The stacked jump operators and the observables
@@ -103,13 +106,16 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class TrajectoryEnsembleResult:
-    """Ensemble means and standard errors of observables on a time grid."""
+    """Ensemble means and standard errors of observables on a time grid, and
+    the jumps of all trajectories per channel (in the order of
+    ``terms.jumps``)."""
 
     realizations: int
     times: np.ndarray
     means: dict
     standard_errors: dict
     master_seed: int
+    jump_counts: np.ndarray
     provenance: dict
 
 
@@ -135,6 +141,14 @@ class _BatchKernel:
     1``) on the blocks advanced by ``expm``.  The dense matrices are ``v``,
     ``v_inv`` and ``decay = i(H_eff - H_eff^dag)``, which on amplitudes gives
     minus the rate of change of the squared norm.
+
+    A batch takes one round per jump, whatever the grid: each round advances
+    every active column from its last jump to the grid's end, finishes the
+    columns whose norm stays above their threshold there, and finds the
+    others' jump times by Newton on the log of the norm.  The states at the
+    grid times a column passes before its jump (or the end) are advanced
+    from its last jump in blocks of at most ``BATCH_SIZE`` columns, so no
+    sample array grows with the grid.
     """
 
     def __init__(self, h_eff: np.ndarray, terms: LindbladTerms, times: np.ndarray):
@@ -165,52 +179,58 @@ class _BatchKernel:
                 self.v_inv[idx, idx] = 1.0
                 self.expm_blocks.append((idx, block))
 
-    def run(self, psi0: np.ndarray, rngs: list, jump_log: list | None = None):
-        """Propagate a batch (columns of psi0) along the grid.
+    def run(self, psi0: np.ndarray, rngs: list, jump_log: list | None = None,
+            jump_counts: np.ndarray | None = None):
+        """Propagate a batch (columns of psi0) to the end of the grid.
 
-        Yields the normalized batch state at every grid time, in order.  When
-        ``jump_log`` is given (one list per column), each column's jump
-        events are appended to its list as (time, channel) pairs.
+        Yields ``(grid indices, columns, normalized states)`` blocks that
+        hold every (grid time, column) pair once.  When ``jump_log`` is given
+        (one list per column), each column's jump events are appended to its
+        list as (time, channel) pairs; ``jump_counts`` (one entry per
+        channel) gains every jump.
         """
-        psi = np.array(psi0, dtype=complex)
-        if psi.ndim == 1:
-            psi = psi[:, None]
         thresholds = np.array([rng.random() for rng in rngs])
-
-        x = self.v_inv @ psi
-        yield psi / np.sqrt(_norms2(psi))
-        for t, t_next in zip(self.times[:-1], self.times[1:]):
-            self._interval(x, t, t_next, rngs, thresholds, jump_log)
-            psi = self.v @ x
-            yield psi / np.sqrt(_norms2(psi))
-
-    def _interval(self, x: np.ndarray, t: float, t_next: float, rngs: list,
-                  thresholds: np.ndarray, jump_log: list | None) -> None:
-        """Advance every column of ``x`` in place from ``t`` to ``t_next``,
-        firing the jumps on the way."""
-        start = np.full(x.shape[1], t)
+        x = self.v_inv @ psi0
+        start = np.full(x.shape[1], self.times[0])
+        first = np.zeros(x.shape[1], dtype=int)  # first grid index not sampled
         active = np.arange(x.shape[1])
         while active.size:
             seg = x[:, active]
-            end = self._advance(seg, t_next - start[active])
-            norms2 = _norms2(self.v @ end)
+            spans = self.times[-1] - start[active]
+            norms2 = _norms2(self.v @ self._advance(seg, spans))
             crossed = norms2 <= thresholds[active]
             bad = np.flatnonzero(~crossed & (norms2 < NORM_COLLAPSE))
             if bad.size:
                 raise NormCollapseError(
                     f"state norm collapsed to {norms2[bad[0]]:.3e} without "
                     "crossing its jump threshold")
-            x[:, active[~crossed]] = end[:, ~crossed]
-            seg = seg[:, crossed]
-            active = active[crossed]
-            if not active.size:
+            jumping = active[crossed]
+            stop = np.full(active.size, np.inf)
+            if jumping.size:
+                tau = self._crossing_time(seg[:, crossed], thresholds[jumping],
+                                          spans[crossed], norms2[crossed],
+                                          start[jumping])
+                stop[crossed] = start[jumping] + tau
+            last = np.searchsorted(self.times, stop)
+            ends = np.cumsum(last - first[active])  # samples, column by column
+            for b in range(0, ends[-1], BATCH_SIZE):
+                k = np.arange(b, min(b + BATCH_SIZE, ends[-1]))
+                w = np.searchsorted(ends, k, side="right")
+                g = last[w] - ends[w] + k
+                psi = self.v @ self._advance(seg[:, w], self.times[g] - start[active[w]])
+                yield g, active[w], psi / np.sqrt(_norms2(psi))
+            first[active] = last
+            if not jumping.size:
                 return
-            tau = self._crossing_time(seg, thresholds[active], t_next - start[active],
-                                      norms2[crossed],
-                                      JUMP_TIME_RTOL * max(abs(t), abs(t_next)))
-            start[active] += tau
-            x[:, active] = self._jump(self._advance(seg, tau), active,
-                                      start[active], rngs, thresholds, jump_log)
+            x[:, jumping], channels = self._jump(self._advance(seg[:, crossed], tau),
+                                                 jumping, rngs, thresholds)
+            start[jumping] = stop[crossed]
+            if jump_log is not None:
+                for j, t, channel in zip(jumping, start[jumping], channels):
+                    jump_log[j].append((float(t), int(channel)))
+            if jump_counts is not None:
+                jump_counts += np.bincount(channels, minlength=len(jump_counts))
+            active = jumping
 
     def _advance(self, x: np.ndarray, dt: np.ndarray) -> np.ndarray:
         """Coordinates of each column of ``x`` after its own time ``dt``."""
@@ -222,15 +242,19 @@ class _BatchKernel:
 
     def _crossing_time(self, x: np.ndarray, thresholds: np.ndarray,
                        spans: np.ndarray, end_norms2: np.ndarray,
-                       tol: float) -> np.ndarray:
+                       starts: np.ndarray) -> np.ndarray:
         """Per column, the time ``tau`` in ``(0, span]`` at which the squared
-        norm of ``advance(x, tau)`` falls to its threshold, to ``tol``.
+        norm of ``advance(x, tau)`` falls to its threshold, to
+        ``JUMP_TIME_RTOL`` of the column's time ``max(|start|, |start +
+        tau|)``.
 
-        Newton on the closed-form norm, whose derivative is ``-psi^dag D
-        psi``; a step that leaves the bracket is replaced by bisection.
+        Newton on the log of the closed-form norm, whose derivative is
+        ``-psi^dag D psi / |psi|^2``; a step that leaves the bracket is
+        replaced by bisection.  The log is exact for a single decay rate.
         """
         lo = np.zeros_like(spans)
         hi = spans.copy()
+        log_u = np.log(thresholds)
         start_norms2 = _norms2(self.v @ x)
         # exact for a single decay rate: the norm is then exp(-rate * tau)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -240,13 +264,16 @@ class _BatchKernel:
         todo = np.arange(len(spans))
         for _ in range(MAX_ROOT_ITERATIONS):
             psi = self.v @ self._advance(x[:, todo], tau[todo])
-            f = _norms2(psi) - thresholds[todo]
-            slope = -np.einsum("ij,ij->j", psi.conj(), self.decay @ psi).real
+            norms2 = _norms2(psi)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                f = np.log(norms2) - log_u[todo]
+                newton = tau[todo] + f * norms2 / np.einsum(
+                    "ij,ij->j", psi.conj(), self.decay @ psi).real
             above = f > 0
             lo[todo] = np.where(above, tau[todo], lo[todo])
             hi[todo] = np.where(above, hi[todo], tau[todo])
-            with np.errstate(divide="ignore", invalid="ignore"):
-                newton = tau[todo] - f / slope
+            tol = JUMP_TIME_RTOL * np.maximum(np.abs(starts[todo]),
+                                              np.abs(starts[todo] + tau[todo]))
             inside = (newton >= lo[todo]) & (newton <= hi[todo])
             done = ((f == 0) | (hi[todo] - lo[todo] <= tol)
                     | (inside & (np.abs(newton - tau[todo]) <= tol)))
@@ -257,12 +284,11 @@ class _BatchKernel:
                 break
         return tau
 
-    def _jump(self, x: np.ndarray, cols: np.ndarray, times: np.ndarray,
-              rngs: list, thresholds: np.ndarray,
-              jump_log: list | None) -> np.ndarray:
+    def _jump(self, x: np.ndarray, cols: np.ndarray, rngs: list,
+              thresholds: np.ndarray) -> tuple:
         """Apply one jump to each column of ``x``; return the normalized
-        post-jump coordinates.  Each column draws its channel and then its
-        next threshold from its own stream."""
+        post-jump coordinates and the channels.  Each column draws its
+        channel and then its next threshold from its own stream."""
         count = len(self.rates)
         branches = (self.stacked @ (self.v @ x)).reshape(count, self.dim, -1)
         weights = self.rates[:, None] * np.einsum(
@@ -278,10 +304,7 @@ class _BatchKernel:
         thresholds[cols] = draws[:, 1]
         new = branches[channels, :, np.arange(len(cols))].T
         new /= np.linalg.norm(new, axis=0)
-        if jump_log is not None:
-            for j, t, channel in zip(cols, times, channels):
-                jump_log[j].append((float(t), int(channel)))
-        return self.v_inv @ new
+        return self.v_inv @ new, channels
 
 
 def evolve_trajectory(h_eff: Operator, terms: LindbladTerms, psi0: np.ndarray,
@@ -295,12 +318,14 @@ def evolve_trajectory(h_eff: Operator, terms: LindbladTerms, psi0: np.ndarray,
     kernel = _BatchKernel(h_eff.matrix, terms, times)
     rng = _rng_for(seed)
     jump_log = [[]]
-    states = [batch[:, 0].copy() for batch in kernel.run(psi0, [rng], jump_log)]
+    states = np.empty((len(kernel.times), kernel.dim), dtype=complex)
+    for grid, _, block in kernel.run(psi0[:, None], [rng], jump_log):
+        states[grid] = block.T
     events = jump_log[0]
     return Trajectory(
         seed=seed,
         times=kernel.times,
-        states=np.array(states),
+        states=states,
         jump_times=np.array([e[0] for e in events]),
         jump_channels=np.array([e[1] for e in events], dtype=int),
     )
@@ -332,7 +357,8 @@ def _run_batch(kernel: _BatchKernel, obs_mats: list, vectors: np.ndarray,
                cum: np.ndarray | None, master_seed: int, start: int, count: int):
     """Simulate trajectories [start, start+count) from the initial states of
     ``_initial_states`` and return per-time (sum, sum of squares) of every
-    observable, reduced in trajectory order."""
+    observable, reduced in trajectory order, and the per-channel jump
+    counts."""
     rngs = [_rng_for(split_seed(master_seed, start + j)) for j in range(count)]
     if cum is None:
         picks = [0] * count
@@ -341,15 +367,14 @@ def _run_batch(kernel: _BatchKernel, obs_mats: list, vectors: np.ndarray,
                      len(cum) - 1) for rng in rngs]
     psi0 = vectors.take(picks, axis=1)
 
-    n_t = len(kernel.times)
-    sums = np.zeros((len(obs_mats), n_t))
-    sumsq = np.zeros((len(obs_mats), n_t))
-    for ti, batch in enumerate(kernel.run(psi0, rngs)):
+    vals = np.empty((len(obs_mats), len(kernel.times), count))
+    jumps = np.zeros(len(kernel.rates), dtype=int)
+    for grid, cols, states in kernel.run(psi0, rngs, jump_counts=jumps):
         for oi, mat in enumerate(obs_mats):
-            vals = np.einsum("ij,ij->j", batch.conj(), mat @ batch).real
-            sums[oi, ti] = np.add.reduce(vals)
-            sumsq[oi, ti] = np.add.reduce(vals * vals)
-    return sums, sumsq
+            vals[oi, grid, cols] = np.einsum("ij,ij->j", states.conj(),
+                                             mat @ states).real
+    sums = np.add.reduce(vals, axis=2)
+    return sums, np.add.reduce(np.square(vals, out=vals), axis=2), jumps
 
 
 def run_ensemble(terms: LindbladTerms, initial, times: np.ndarray,
@@ -392,9 +417,11 @@ def run_ensemble(terms: LindbladTerms, initial, times: np.ndarray,
     n_t = len(np.asarray(times))
     sums = np.zeros((len(obs_mats), n_t))
     sumsq = np.zeros((len(obs_mats), n_t))
-    for ps, pq in partials:
+    jump_counts = np.zeros(len(terms.rates), dtype=int)
+    for ps, pq, pj in partials:
         sums += ps
         sumsq += pq
+        jump_counts += pj
 
     r = realizations
     means = sums / r
@@ -410,6 +437,7 @@ def run_ensemble(terms: LindbladTerms, initial, times: np.ndarray,
         means={name: means[i] for i, name in enumerate(obs_names)},
         standard_errors={name: ses[i] for i, name in enumerate(obs_names)},
         master_seed=master_seed,
+        jump_counts=jump_counts,
         provenance={
             "initial_state": initial_kind,
             "seed_scheme": "philox128(master<<64|index)",

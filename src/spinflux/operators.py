@@ -227,15 +227,11 @@ def _fix_phases(vecs: np.ndarray) -> np.ndarray:
 
 def _stable_order(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     order = np.argsort(vals, kind="stable")
-    # break exact float ties deterministically
-    i = 0
-    while i < len(order) - 1:
-        j = i
-        while j + 1 < len(order) and vals[order[j + 1]] == vals[order[i]]:
-            j += 1
-        if j > i:
-            tied = sorted(order[i:j + 1],
-                          key=lambda k: tuple(np.round(vecs[:, k], 12).view(float)))
-            order[i:j + 1] = tied
-        i = j + 1
+    # break exact float ties deterministically: lexicographic on the rounded
+    # (re, im, re, im, ...) components, where -0.0 equals 0.0
+    edges = np.flatnonzero(np.diff(vals[order], prepend=np.nan, append=np.nan))
+    for i, j in zip(edges[:-1], edges[1:]):
+        if j - i > 1:
+            keys = np.round(vecs[:, order[i:j]].T, 12).copy().view(float)
+            order[i:j] = order[i:j][np.lexsort(keys.T[::-1])]
     return order

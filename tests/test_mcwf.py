@@ -140,16 +140,19 @@ class TestTrajectory:
     @pytest.mark.parametrize("rate", [0.3, 1.0, 7.0])
     def test_first_jump_time_is_exact(self, rate):
         # single decay channel: the squared norm is exp(-rate t), so the first
-        # jump fires at -ln(u)/rate with u the stream's first draw
+        # jump fires at -ln(u)/rate with u the stream's first draw.  On the
+        # grid [0, 200] at rate 7 the squared norm at the end of the bracket
+        # underflows to 0
         terms = damping_terms(rate=rate)
         h_eff = effective_hamiltonian(two_level_field(), terms)
         for r in range(20):
             seed = split_seed(404, r)
             u = _rng_for(seed).random()
             want = -np.log(u) / rate
-            traj = evolve_trajectory(h_eff, terms, EXCITED,
-                                     np.array([0.0, want + 1.0]), seed)
-            assert abs(traj.jump_times[0] - want) <= 1e-12 * max(want, 1.0)
+            for t_end in (want + 1.0, 200.0):
+                traj = evolve_trajectory(h_eff, terms, EXCITED,
+                                         np.array([0.0, t_end]), seed)
+                assert abs(traj.jump_times[0] - want) <= 1e-12 * max(want, 1.0)
 
     def test_first_jump_time_is_exact_on_chain(self):
         # two channels with different rates: the squared norm is no single
@@ -175,6 +178,45 @@ class TestTrajectory:
                                      np.array([0.0, want + 1.0]), seed)
             assert abs(traj.jump_times[0] - want) <= 1e-10 * max(want, 1.0)
 
+    def test_every_jump_matches_dense_reference(self):
+        # the whole jump record of an n=3 chain trajectory on a coarse grid,
+        # so that jumps fall between grid points: each waiting time from
+        # expm + brentq, each channel from the same draws
+        gen = Generator("weak_coupling", FIG_CHAIN, LEFT, RIGHT)
+        terms = gen.lindblad_terms()
+        h_eff = terms.effective_hamiltonian()
+        grid = np.linspace(0.0, 400.0, 51)
+        psi = np.zeros(8, dtype=complex)
+        psi[1] = 1.0
+        seed = split_seed(606, 0)
+        traj = evolve_trajectory(Operator(h_eff), terms, psi, grid, seed)
+        assert traj.jump_times.size >= 20
+
+        def flow(t):
+            return scipy.linalg.expm(-1j * t * h_eff)
+
+        rng = _rng_for(seed)
+        u, t = rng.random(), 0.0
+        for got_time, got_channel in zip(traj.jump_times, traj.jump_channels):
+            def excess(tau):
+                return np.linalg.norm(flow(tau) @ psi) ** 2 - u
+            hi = 1.0
+            while excess(hi) > 0:
+                hi *= 2.0
+            tau = scipy.optimize.brentq(excess, 0.0, hi, xtol=1e-14,
+                                        rtol=4 * np.finfo(float).eps)
+            t += tau
+            assert abs(got_time - t) <= 1e-10 * max(t, 1.0)
+            branches = [L @ (flow(tau) @ psi) for L in terms.jumps]
+            weights = np.array(terms.rates) * [np.vdot(b, b).real for b in branches]
+            draw, u = rng.random(2)
+            channel = min(int(np.sum(np.cumsum(weights) <= draw * weights.sum())),
+                          len(weights) - 1)
+            assert got_channel == channel
+            psi = branches[channel] / np.linalg.norm(branches[channel])
+        # and no further jump before the end of the grid
+        assert np.linalg.norm(flow(grid[-1] - t) @ psi) ** 2 > u
+
 
 class TestBlocks:
     def test_n5_sectors_split_h_eff_exactly(self):
@@ -189,6 +231,23 @@ class TestBlocks:
             label[idx] = k
         off = label[:, None] != label[None, :]
         assert np.count_nonzero(h_eff[off]) == 0
+
+    def test_run_samples_every_grid_point_once(self):
+        # blocks of at most BATCH_SIZE samples that cover (grid point,
+        # column) exactly once, at unit norm
+        gen = Generator("weak_coupling", FIG_CHAIN, LEFT, RIGHT)
+        terms = gen.lindblad_terms()
+        grid = np.linspace(0.0, 400.0, 51)
+        kernel = _BatchKernel(terms.effective_hamiltonian(), terms, grid)
+        count = 300
+        psi0 = np.eye(8, dtype=complex)[:, np.arange(count) % 8]
+        rngs = [_rng_for(split_seed(808, r)) for r in range(count)]
+        seen = np.zeros((len(grid), count), dtype=int)
+        for g, cols, states in kernel.run(psi0, rngs):
+            assert len(g) == len(cols) == states.shape[1] <= mcwf.BATCH_SIZE
+            assert np.abs(np.linalg.norm(states, axis=0) - 1.0).max() <= 1e-12
+            np.add.at(seen, (g, cols), 1)
+        assert np.all(seen == 1)
 
     def test_defective_block_takes_expm_path(self):
         # H = g sx with decay 4g on the upper level: H_eff sits at an
@@ -232,6 +291,22 @@ class TestEnsemble:
                            for s in traj.states])
         assert np.allclose(res.means["sz"], manual, rtol=1e-13, atol=1e-13)
         assert np.all(res.standard_errors["sz"] == 0.0)
+
+    def test_jump_counts_match_trajectory_record(self):
+        gen = Generator("weak_coupling", FIG_CHAIN, LEFT, RIGHT)
+        terms = gen.lindblad_terms()
+        grid = np.linspace(0.0, 400.0, 51)
+        psi0 = np.zeros(8, dtype=complex)
+        psi0[1] = 1.0
+        for master in (11, 12, 13):
+            res = run_ensemble(terms, psi0, grid,
+                               {"j": reported_current_operator(FIG_CHAIN, 1)},
+                               realizations=1, master_seed=master)
+            traj = evolve_trajectory(Operator(terms.effective_hamiltonian()),
+                                     terms, psi0, grid, split_seed(master, 0))
+            assert traj.jump_channels.size > 0
+            assert np.array_equal(res.jump_counts, np.bincount(
+                traj.jump_channels, minlength=len(terms.rates)))
 
     def test_amplitude_damping_matches_closed_form(self):
         terms = damping_terms()
@@ -328,6 +403,31 @@ class TestEnsemble:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert peak <= required[0]
+
+    def test_jump_free_run_stays_within_preflight(self, monkeypatch):
+        # n=9 on a 401-point grid without jumps: the samples of 16
+        # trajectories are 6416 states; taken in one d x 6416 block they
+        # alone would be twice what the preflight counts
+        chain = ChainSpec(n=9, field=1.0, exchange=0.01)
+        weak = [BathSpec(beta=b.beta, coupling=1e-9, side=b.side)
+                for b in (LEFT, RIGHT)]
+        terms = Generator("weak_coupling", chain, *weak).lindblad_terms()
+        obs = {"j": reported_current_operator(chain, 1)}
+        psi0 = np.zeros(chain.dim, dtype=complex)
+        psi0[1] = 1.0
+        required = []
+        monkeypatch.setattr(mcwf, "require_memory",
+                            lambda nbytes, what: required.append(nbytes))
+        mcwf.check_memory(chain.dim, 1)
+        tracemalloc.start()
+        try:
+            res = run_ensemble(terms, psi0, np.linspace(0.0, 400.0, 401), obs,
+                               realizations=16, master_seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.jump_counts.sum() == 0
         assert peak <= required[0]
 
     def test_result_reproducible(self):

@@ -181,3 +181,55 @@ class TestEigHermitian:
         eig = eig_hermitian(a)
         assert np.array_equal(eig.eigenvalues, vals[order])
         assert np.array_equal(eig.eigenvectors, vecs[:, order])
+
+
+def tuple_tie_order(vals, vecs):
+    """Reference tie order: each run of equal eigenvalues sorted by Python
+    tuples of the rounded (re, im, ...) components."""
+    order = np.argsort(vals, kind="stable")
+    i = 0
+    while i < len(order) - 1:
+        j = i
+        while j + 1 < len(order) and vals[order[j + 1]] == vals[order[i]]:
+            j += 1
+        order[i:j + 1] = sorted(order[i:j + 1], key=lambda k: tuple(
+            np.round(vecs[:, k], 12).view(float)))
+        i = j + 1
+    return order
+
+
+class TestTieOrder:
+    def spy_orders(self, monkeypatch, a):
+        """(vals, vecs) that ``eig_hermitian(a)`` hands to ``_stable_order``."""
+        seen = []
+        monkeypatch.setattr(operators, "_stable_order", lambda vals, vecs: (
+            seen.append((vals, vecs)) or _stable_order(vals, vecs)))
+        eig_hermitian(a)
+        return seen[0]
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_maximally_mixed_state(self, monkeypatch, n):
+        d = 2 ** n
+        vals, vecs = self.spy_orders(
+            monkeypatch, Operator(np.eye(d, dtype=complex) / d, hermitian=True))
+        assert np.array_equal(_stable_order(vals, vecs), tuple_tie_order(vals, vecs))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_degenerate_hermitian(self, monkeypatch, seed):
+        # kron(B, 1_k): k copies of one block on interleaved supports, so
+        # every eigenvalue is tied exactly k times
+        rng = np.random.default_rng(seed)
+        b = random_hermitian(rng, 4).matrix
+        a = Operator(np.kron(b, np.eye(3 + seed)), hermitian=True)
+        vals, vecs = self.spy_orders(monkeypatch, a)
+        assert len(np.unique(vals)) == 4
+        assert np.array_equal(_stable_order(vals, vecs), tuple_tie_order(vals, vecs))
+
+    def test_signed_zeros_and_equal_prefixes(self):
+        # components in {-1, -0.0, 0.0, 1}: long shared prefixes, -0.0 ties
+        # with 0.0, and fully equal keys that must keep their input order
+        rng = np.random.default_rng(9)
+        parts = np.array([-1.0, -0.0, 0.0, 1.0])
+        vecs = rng.choice(parts, size=(4, 200)) + 1j * rng.choice(parts, size=(4, 200))
+        vals = rng.integers(0, 3, size=200).astype(float)
+        assert np.array_equal(_stable_order(vals, vecs), tuple_tie_order(vals, vecs))
