@@ -36,10 +36,11 @@ from .config import (MODES, ConfigError, RunConfig, config_hash, parse_config,
                      with_overrides)
 from .chain import build_hamiltonian, build_local_hamiltonian_site
 from .dissipators import VARIANTS, Generator, VariantError
-from .liouville import (SolverError, Superoperator, assemble,
-                        expectation_series, propagate, steady_state)
+from .liouville import (SolverError, Superoperator, assemble, propagate,
+                        steady_state)
 from .mcwf import NormCollapseError, check_memory, run_ensemble
-from .observables import diagonality_defect, gibbs_state, reported_current_operator
+from .observables import (diagonality_defect, expectation_series, gibbs_state,
+                          reported_current_operator)
 from .operators import DimensionError, Operator, eig_hermitian
 
 logger = logging.getLogger(__name__)
@@ -145,7 +146,8 @@ def run(config: RunConfig) -> None:
     times = _time_grid(config)
     if config.mode == "mcwf":
         # the observables below: one current per bond, one energy per site
-        check_memory(config.chain.dim, 2 * config.chain.n - 1)
+        check_memory(config.chain.dim, 2 * config.chain.n - 1, config.steps + 1,
+                     config.realizations)
     rho0 = _initial_density(config)
 
     if config.mode == "evolve":

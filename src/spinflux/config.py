@@ -10,7 +10,8 @@ bath coupling 0.01, inverse temperatures 0.41 / 1.39, maximally mixed start).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from operator import attrgetter
 
 from .bath import BathSpec
 from .chain import ChainSpec
@@ -41,47 +42,45 @@ class RunConfig:
     nullspace_tol: float
 
 
-_DEFAULTS = {
-    "chain.omega": 1.0,
-    "chain.lambda": 0.01,
-    "bath.left.beta": 0.41,
-    "bath.left.kappa": 0.01,
-    "bath.right.beta": 1.39,
-    "bath.right.kappa": 0.01,
-    "variant": "weak_coupling",
-    "mode": "compare",
-    "time.t_max": 400.0,
-    "time.steps": 200,
-    "mcwf.realizations": 100000,
-    "mcwf.seed": 20240,
-    "initial_state": "maximally_mixed",
-    "output.dir": "out",
-    "tolerance.cluster": None,
-    "tolerance.nullspace": 1e-10,
-}
+# Every run key once, as (file key, RunConfig attribute, type, default), in
+# the order of serialize_config; a default of ... marks a required key.
+_KEYS = (
+    ("chain.n", "chain.n", int, ...),
+    ("chain.omega", "chain.field", float, 1.0),
+    ("chain.lambda", "chain.exchange", float, 0.01),
+    ("bath.left.beta", "bath_left.beta", float, 0.41),
+    ("bath.left.kappa", "bath_left.coupling", float, 0.01),
+    ("bath.right.beta", "bath_right.beta", float, 1.39),
+    ("bath.right.kappa", "bath_right.coupling", float, 0.01),
+    ("variant", "variant", str, "weak_coupling"),
+    ("mode", "mode", str, "compare"),
+    ("time.t_max", "t_max", float, 400.0),
+    ("time.steps", "steps", int, 200),
+    ("mcwf.realizations", "realizations", int, 100000),
+    ("mcwf.seed", "master_seed", int, 20240),
+    ("initial_state", "initial_state", str, "maximally_mixed"),
+    ("output.dir", "output_dir", str, "out"),
+    ("tolerance.nullspace", "nullspace_tol", float, 1e-10),
+    ("tolerance.cluster", "cluster_tol", float, None),
+)
 
-_REQUIRED = ("chain.n",)
-
-_INT_KEYS = ("chain.n", "time.steps", "mcwf.realizations", "mcwf.seed")
-_FLOAT_KEYS = ("chain.omega", "chain.lambda", "bath.left.beta", "bath.left.kappa",
-               "bath.right.beta", "bath.right.kappa", "time.t_max",
-               "tolerance.cluster", "tolerance.nullspace")
-_STR_KEYS = ("variant", "mode", "initial_state", "output.dir")
-
-KNOWN_KEYS = tuple(_INT_KEYS) + tuple(_FLOAT_KEYS) + tuple(_STR_KEYS)
+KNOWN_KEYS = tuple(key for key, _, _, _ in _KEYS)
+_KINDS = {key: kind for key, _, kind, _ in _KEYS}
 
 
-def _convert(key: str, raw: str, line_no: int):
+def _convert(key: str, raw, where: str):
+    """A file value, which is text, or an override, which is text or of the
+    key's type, checked and converted to the key's type."""
+    kind = _KINDS[key]
+    if raw == "":
+        raise ConfigError(f"{where}: empty value for key {key!r}")
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        return raw
+        if type(raw) is kind or isinstance(raw, str):
+            return kind(raw)
     except ValueError:
-        kind = "integer" if key in _INT_KEYS else "number"
-        raise ConfigError(f"line {line_no}: key {key!r} needs an {kind}, "
-                          f"got {raw!r}") from None
+        pass
+    noun = {int: "an integer", float: "a number", str: "a string"}[kind]
+    raise ConfigError(f"{where}: key {key!r} needs {noun}, got {raw!r}")
 
 
 def parse_config(text: str) -> RunConfig:
@@ -98,16 +97,13 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {line_no}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {line_no}: duplicate key {key!r}")
-        if not raw:
-            raise ConfigError(f"line {line_no}: empty value for key {key!r}")
-        values[key] = _convert(key, raw, line_no)
+        values[key] = _convert(key, raw, f"line {line_no}")
 
-    for key in _REQUIRED:
-        if key not in values:
+    for key, _, _, default in _KEYS:
+        if default is ... and key not in values:
             raise ConfigError(f"missing required key {key!r}")
-    filled = dict(_DEFAULTS)
-    filled.update(values)
-    return _build(filled)
+        values.setdefault(key, default)
+    return _build(values)
 
 
 def _build(v: dict) -> RunConfig:
@@ -177,29 +173,12 @@ def _build(v: dict) -> RunConfig:
 
 
 def serialize_config(config: RunConfig) -> str:
-    """Canonical text form; parse(serialize(c)) == c."""
-    pairs = [
-        ("chain.n", config.chain.n),
-        ("chain.omega", config.chain.field),
-        ("chain.lambda", config.chain.exchange),
-        ("bath.left.beta", config.bath_left.beta),
-        ("bath.left.kappa", config.bath_left.coupling),
-        ("bath.right.beta", config.bath_right.beta),
-        ("bath.right.kappa", config.bath_right.coupling),
-        ("variant", config.variant),
-        ("mode", config.mode),
-        ("time.t_max", config.t_max),
-        ("time.steps", config.steps),
-        ("mcwf.realizations", config.realizations),
-        ("mcwf.seed", config.master_seed),
-        ("initial_state", config.initial_state),
-        ("output.dir", config.output_dir),
-        ("tolerance.nullspace", config.nullspace_tol),
-    ]
-    if config.cluster_tol is not None:
-        pairs.append(("tolerance.cluster", config.cluster_tol))
+    """Canonical text form, one line per key that has a value, in table
+    order; parse(serialize(c)) == c for a config read from a file.
+    ``output.dir`` is not part of ``config_hash``."""
+    pairs = ((key, attrgetter(attr)(config)) for key, attr, _, _ in _KEYS)
     return "".join(f"{k} = {v!r}\n" if isinstance(v, float) else f"{k} = {v}\n"
-                   for k, v in pairs)
+                   for k, v in pairs if v is not None)
 
 
 def config_hash(config: RunConfig) -> str:
@@ -214,11 +193,12 @@ def with_overrides(config: RunConfig, *, mode: str | None = None,
                    variant: str | None = None, output_dir: str | None = None,
                    master_seed: int | None = None,
                    realizations: int | None = None) -> RunConfig:
-    """Apply command-line overrides and re-validate the combination."""
-    changes = {name: value for name, value in (
-        ("mode", mode), ("variant", variant), ("output_dir", output_dir),
-        ("master_seed", master_seed), ("realizations", realizations))
-        if value is not None}
-    if not changes:
+    """Apply command-line overrides, each checked as a file value is (but
+    never cut at a ``#``), and re-validate the combination."""
+    overrides = {attr: value for attr, value in dict(
+        mode=mode, variant=variant, output_dir=output_dir, master_seed=master_seed,
+        realizations=realizations).items() if value is not None}
+    if not overrides:
         return config
-    return parse_config(serialize_config(replace(config, **changes)))
+    return _build({key: _convert(key, overrides[attr], "override") if attr in overrides
+                   else attrgetter(attr)(config) for key, attr, _, _ in _KEYS})

@@ -152,23 +152,9 @@ def bohr_decompose(h: Operator, x: Operator, cluster_tol: float,
     return tuple(sorted(pairs, key=lambda item: item[0]))
 
 
-@dataclass(frozen=True)
-class GammaMatrix:
-    """2x2 coefficient matrix of the local contact dissipator in the
-    (sigma_plus, sigma_minus) operator basis."""
-
-    matrix: np.ndarray
-    frequency: float
-    bath: BathSpec
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-
-
-def gamma_matrix(bath: BathSpec, frequency: float) -> GammaMatrix:
-    """Coefficient matrix of the local dissipator at a transition frequency.
+def gamma_matrix(bath: BathSpec, frequency: float) -> np.ndarray:
+    """Read-only 2x2 coefficient matrix of the local contact dissipator at a
+    transition frequency, in the (sigma_plus, sigma_minus) operator basis.
 
     Diagonal: 2*pi*rate(+f) (absorption, on sigma_plus) and 2*pi*rate(-f)
     (emission, on sigma_minus).  Off-diagonal: pi*(rate(+f) + rate(-f)).
@@ -181,18 +167,19 @@ def gamma_matrix(bath: BathSpec, frequency: float) -> GammaMatrix:
     cross = math.pi * (up + down)
     m = np.array([[2.0 * math.pi * up, cross],
                   [cross, 2.0 * math.pi * down]])
-    return GammaMatrix(matrix=m, frequency=frequency, bath=bath)
+    m.flags.writeable = False
+    return m
 
 
-def split_gamma(gamma: GammaMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Split gamma into a singular PSD part and a zero-diagonal remainder.
+def split_gamma(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split gamma, a ``gamma_matrix`` ``g``, into a singular PSD part and a
+    zero-diagonal remainder.
 
     The returned ``gamma_a`` keeps the diagonal of gamma and takes the
     geometric mean of the diagonal as off-diagonal, so det(gamma_a) = 0 and
     gamma_a is rank-1 positive semidefinite; ``gamma_b = gamma - gamma_a``
     has exactly zero diagonal.
     """
-    g = gamma.matrix
     m = math.sqrt(g[0, 0] * g[1, 1])
     gamma_a = np.array([[g[0, 0], m], [m, g[1, 1]]])
     gamma_b = g - gamma_a
@@ -303,7 +290,7 @@ class Generator:
         else:
             pairs = []
             for b in self.baths:
-                g = gamma_matrix(b, chain.field).matrix
+                g = gamma_matrix(b, chain.field)
                 up, down = _local_flip_operators(self.chain, b.side)
                 pairs.append((g[0, 0], up))
                 pairs.append((g[1, 1], down))
@@ -396,7 +383,7 @@ def _weak_coupling_jump(chain: ChainSpec, bath: BathSpec) -> tuple[float, np.nda
     eigenvalue is tr(gamma_a) with unit eigenvector v/|v|; the jump operator
     mixes the local raising and lowering operators with those weights.
     """
-    g = gamma_matrix(bath, chain.field).matrix
+    g = gamma_matrix(bath, chain.field)
     alpha = g[0, 0] + g[1, 1]
     site = contact_site(chain, bath.side)
     if alpha == 0.0:

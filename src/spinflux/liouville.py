@@ -38,7 +38,6 @@ import scipy.sparse.linalg
 
 from .dissipators import Generator
 from .observables import bond_currents, local_energies
-from .observables import expectation_series  # re-exported for existing callers
 from .operators import (HERMITICITY_RTOL, DimensionError, Operator,
                         connected_blocks)
 

@@ -26,8 +26,8 @@ are applied as CSR matrices: a chain jump or bond current has at most one
 non-zero per row.
 
 Before it allocates, ``run_ensemble`` checks that the dense matrices it is
-about to allocate, and the observables, fit in the memory available now, and
-raises ``DimensionError`` if they do not.
+about to allocate, the observables and a batch's samples of them fit in the
+memory available now, and raises ``DimensionError`` if they do not.
 
 Reproducibility contract: trajectory ``r`` of a run with master seed ``m``
 draws from a private Philox stream keyed by the 128-bit integer
@@ -70,11 +70,14 @@ class NormCollapseError(RuntimeError):
     """The unnormalized state norm fell below the representable floor."""
 
 
-def check_memory(dim: int, observables: int) -> None:
+def check_memory(dim: int, observables: int, points: int,
+                 trajectories: int) -> None:
     """Raise ``DimensionError`` unless ``observables`` dense ``dim x dim``
-    observables plus the dense matrices ``run_ensemble`` allocates fit in
+    observables, the dense matrices ``run_ensemble`` allocates and a batch's
+    float64 samples of every observable at ``points`` grid points fit in
     available memory."""
-    require_memory((observables + KERNEL_DENSE_MATRICES) * 16 * dim * dim,
+    require_memory((observables + KERNEL_DENSE_MATRICES) * 16 * dim * dim
+                   + 8 * observables * points * min(BATCH_SIZE, trajectories),
                    f"a trajectory ensemble at dimension {dim} with "
                    f"{observables} observable(s)")
 
@@ -394,7 +397,7 @@ def run_ensemble(terms: LindbladTerms, initial, times: np.ndarray,
     for name, op in observables.items():
         if op.dim != dim:
             raise DimensionError(f"observable {name!r} dim {op.dim} != {dim}")
-    check_memory(dim, len(observables))
+    check_memory(dim, len(observables), len(times), realizations)
     vectors, cum, initial_kind = _initial_states(initial)
     obs_names = list(observables)
     obs_mats = [scipy.sparse.csr_array(observables[name].matrix)

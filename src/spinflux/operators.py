@@ -161,19 +161,13 @@ def embedded_sum(blocks, n: int) -> np.ndarray:
         if not 1 <= site <= n - span + 1:
             raise ValueError(f"site {site} out of range for span-{span} "
                              f"operator on {n} sites")
-        view = _local_view(out, 2 ** (site - 1), k, 2 ** (n - site - span + 1))
+        left, right = 2 ** (site - 1), 2 ** (n - site - span + 1)
+        # writable view v[i, p, j, q] = out[(i, p, j), (i, q, j)]: the k x k
+        # block the local operator fills for each state (i, j) of the sites
+        # it does not act on
+        view = np.einsum("ipjiqj->ipjq", out.reshape(left, k, right, left, k, right))
         view += block[None, :, None, :]
     return out
-
-
-def _local_view(m: np.ndarray, left: int, k: int, right: int) -> np.ndarray:
-    """Writable view ``v[i, p, j, q] = m[(i, p, j), (i, q, j)]`` of a
-    ``(left*k*right)``-square array: the k x k block that a local operator
-    fills for each state ``(i, j)`` of the sites it does not act on."""
-    s = m.reshape(left, k, right, left, k, right).strides
-    return np.lib.stride_tricks.as_strided(
-        m, shape=(left, k, right, k),
-        strides=(s[0] + s[3], s[1], s[2] + s[5], s[4]), writeable=True)
 
 
 def connected_blocks(matrix) -> list[np.ndarray]:

@@ -15,10 +15,11 @@ from spinflux.bath import BathSpec, rate
 from spinflux.chain import ChainSpec
 from spinflux.dissipators import (Generator, gamma_matrix,
                                   gamma_remainder_factor, split_gamma)
-from spinflux.liouville import assemble, expectation_series, propagate, steady_state
+from spinflux.liouville import assemble, propagate, steady_state
 from spinflux.mcwf import run_ensemble
-from spinflux.observables import (diagonality_defect, gibbs_state,
-                                  reported_current_operator, trace_distance)
+from spinflux.observables import (diagonality_defect, expectation_series,
+                                  gibbs_state, reported_current_operator,
+                                  trace_distance)
 from spinflux.operators import Operator
 
 FIELD = 1.0
@@ -110,13 +111,13 @@ def test_criterion_5_coefficient_matrix_algebra():
             for f in (0.5, 1.0, 2.0):
                 bath = BathSpec(beta=beta, coupling=coupling, side="left")
                 g = gamma_matrix(bath, f)
-                assert np.linalg.det(g.matrix) < 0.0
+                assert np.linalg.det(g) < 0.0
                 ga, gb = split_gamma(g)
                 tr = np.trace(ga)
                 assert abs(np.linalg.det(ga)) <= 1e-12 * tr * tr
                 eigs = np.linalg.eigvalsh(ga)
                 assert eigs[0] >= -1e-12 * tr and eigs[1] > 0
-                assert np.array_equal(ga + gb, g.matrix)
+                assert np.array_equal(ga + gb, g)
     assert gamma_remainder_factor(1.0) == pytest.approx(1.5 - math.sqrt(2.0),
                                                         abs=1e-12)
     factors = [gamma_remainder_factor(float(n)) for n in range(1, 101)]

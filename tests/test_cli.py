@@ -203,8 +203,10 @@ class TestFailureModes:
         assert record["exit_code"] == 3
 
     def test_mcwf_memory_preflight_exit_code_and_record(self, tmp_path, monkeypatch):
-        # 5 observables + 5 ensemble matrices at d = 8 need 10240 bytes
-        monkeypatch.setattr(operators, "available_memory", lambda: 10239)
+        # 5 observables + 5 ensemble matrices at d = 8 need 10240 bytes, and
+        # the samples of 5 observables at 9 points for 256 trajectories
+        # 92160 bytes more
+        monkeypatch.setattr(operators, "available_memory", lambda: 102399)
         cfg = write_config(tmp_path, BASE + "mode = mcwf\nvariant = weak_coupling\n")
         out = tmp_path / "o"
         assert main(["run", str(cfg), "--out", str(out)]) == 3
@@ -236,6 +238,13 @@ class TestFailureModes:
                      "--variant", "redfield"]) == 0
         steady = json.loads((out / "steady.json").read_text())["steady"]
         assert steady["variant"] == "redfield"
+
+    def test_out_flag_is_not_cut_at_a_hash(self, tmp_path):
+        cfg = write_config(tmp_path, BASE + "mode = steady\n")
+        assert main(["run", str(cfg), "--mode", "steady",
+                     "--out", str(tmp_path / "run#1")]) == 0
+        assert (tmp_path / "run#1" / "steady.json").is_file()
+        assert not (tmp_path / "run").exists()
 
     def test_flag_overrides_apply(self, tmp_path):
         cfg = write_config(tmp_path, BASE + "mode = steady\nvariant = redfield\n")

@@ -1,7 +1,13 @@
+import re
+from pathlib import Path
+
 import pytest
 
+from spinflux import config as config_module
 from spinflux.config import (ConfigError, config_hash, parse_config,
                              serialize_config, with_overrides)
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 FIG2_TEXT = """\
 # reference nonequilibrium run
@@ -63,6 +69,8 @@ class TestParse:
     def test_bad_number_reports_line(self):
         with pytest.raises(ConfigError, match="line 1"):
             parse_config("chain.n = three\n")
+        with pytest.raises(ConfigError, match="line 2.*chain.omega.*needs a number"):
+            parse_config("chain.n = 3\nchain.omega = x\n")
 
     def test_malformed_line(self):
         with pytest.raises(ConfigError, match="key = value"):
@@ -112,3 +120,51 @@ class TestOverrides:
     def test_no_override_is_identity(self):
         config = parse_config("chain.n = 3\n")
         assert with_overrides(config) is config
+
+    def test_override_is_not_cut_at_a_hash(self, tmp_path):
+        config = parse_config("chain.n = 3\nmode = steady\n")
+        target = str(tmp_path / "run#1")
+        assert with_overrides(config, output_dir=target).output_dir == target
+
+    def test_override_type_is_checked_like_a_file_value(self):
+        config = parse_config("chain.n = 3\n")
+        with pytest.raises(ConfigError, match="mcwf.realizations.*needs an integer"):
+            with_overrides(config, realizations=2.5)
+        with pytest.raises(ConfigError, match="empty value.*output.dir"):
+            with_overrides(config, output_dir="")
+
+
+def readme_key_rows():
+    """(keys, defaults) per row of README's configuration-format table."""
+    section = README.read_text(encoding="utf-8").split("### Configuration format", 1)[1]
+    section = section.split("\n###", 1)[0]
+    rows = []
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if line.startswith("| `"):
+            rows.append((re.findall(r"`([^`]+)`", cells[0]), cells[1]))
+    return rows
+
+
+class TestReadme:
+    def test_table_lists_every_key_once(self):
+        keys = [key for row_keys, _ in readme_key_rows() for key in row_keys]
+        assert len(keys) == len(set(keys))
+        assert set(keys) == set(config_module.KNOWN_KEYS)
+
+    def test_table_defaults_match(self):
+        table = {key: (kind, default)
+                 for key, _, kind, default in config_module._KEYS}
+        checked = 0
+        for keys, cell in readme_key_rows():
+            if cell in ("required", "`1e-9 * omega`"):
+                continue
+            literals = re.findall(r"`([^`]+)`", cell)
+            if len(literals) == 1:
+                literals *= len(keys)
+            assert len(literals) == len(keys), (keys, cell)
+            for key, literal in zip(keys, literals):
+                kind, default = table[key]
+                assert kind(literal) == default, (key, literal)
+                checked += 1
+        assert checked == len(table) - 2

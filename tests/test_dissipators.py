@@ -265,7 +265,7 @@ class TestSecular:
 
 class TestGammaMatrix:
     def test_entries(self):
-        g = gamma_matrix(LEFT, 1.0).matrix
+        g = gamma_matrix(LEFT, 1.0)
         up, down = rate(1.0, LEFT), rate(-1.0, LEFT)
         assert g[0, 0] == pytest.approx(2 * math.pi * up, rel=1e-15)
         assert g[1, 1] == pytest.approx(2 * math.pi * down, rel=1e-15)
@@ -277,14 +277,14 @@ class TestGammaMatrix:
                 for f in (0.5, 1.0, 2.0):
                     bath = BathSpec(beta=beta, coupling=coupling, side="left")
                     g = gamma_matrix(bath, f)
-                    det = np.linalg.det(g.matrix)
+                    det = np.linalg.det(g)
                     want = -(math.pi * (rate(f, bath) - rate(-f, bath))) ** 2
                     assert det == pytest.approx(want, rel=1e-10)
                     assert det < 0
 
     def test_zero_temperature_limit(self):
         bath = BathSpec(beta=1e9, coupling=0.01, side="left")
-        g = gamma_matrix(bath, 1.0).matrix
+        g = gamma_matrix(bath, 1.0)
         assert g[0, 0] == pytest.approx(0.0, abs=1e-300)
         assert g[1, 1] == pytest.approx(2 * math.pi * 0.005, rel=1e-6)
 
@@ -306,7 +306,7 @@ class TestSplitGamma:
     def test_partition_is_exact(self):
         g = gamma_matrix(RIGHT, 1.0)
         ga, gb = split_gamma(g)
-        assert np.array_equal(ga + gb, g.matrix)
+        assert np.array_equal(ga + gb, g)
         assert gb[0, 0] == 0.0 and gb[1, 1] == 0.0
 
     def test_remainder_weight(self):
@@ -386,7 +386,7 @@ class TestLocalDiag:
         rho = random_hermitian(rng, 8)
         direct = np.zeros((8, 8), dtype=complex)
         for bath in (LEFT, RIGHT):
-            g = gamma_matrix(bath, FIG_CHAIN.field).matrix
+            g = gamma_matrix(bath, FIG_CHAIN.field)
             ops = _local_flip_operators(FIG_CHAIN, bath.side)
             direct += kossakowski_apply(np.diag(np.diag(g)), ops, rho.matrix)
         got = dissipator(gen, rho.matrix)

@@ -17,9 +17,9 @@ from spinflux.chain import ChainSpec
 from spinflux.dissipators import Generator
 from spinflux.liouville import (NULLSPACE_TOL, DegenerateSteadyStateError,
                                 SolverError, Superoperator, _hermitian_basis,
-                                apply, assemble, expectation_series, propagate,
-                                steady_state, unvectorize, vectorize)
-from spinflux.observables import gibbs_state, trace_distance
+                                apply, assemble, propagate, steady_state,
+                                unvectorize, vectorize)
+from spinflux.observables import expectation_series, gibbs_state, trace_distance
 from spinflux.operators import DimensionError, Operator, connected_blocks, eig_hermitian
 from spinflux.chain import build_current_operator
 

@@ -11,11 +11,11 @@ from spinflux import mcwf, operators
 from spinflux.bath import BathSpec
 from spinflux.chain import ChainSpec
 from spinflux.dissipators import Generator, LindbladTerms
-from spinflux.liouville import Superoperator, expectation_series, propagate
+from spinflux.liouville import Superoperator, propagate
 from spinflux.mcwf import (Trajectory, _BatchKernel, _rng_for,
                            effective_hamiltonian, evolve_trajectory,
                            run_ensemble, split_seed)
-from spinflux.observables import reported_current_operator
+from spinflux.observables import expectation_series, reported_current_operator
 from spinflux.operators import DimensionError, Operator, connected_blocks, pauli
 
 FIG_CHAIN = ChainSpec(n=3, field=1.0, exchange=0.01)
@@ -373,16 +373,28 @@ class TestEnsemble:
         assert len(calls) == 1
 
     def test_memory_preflight_refuses_before_allocating(self, monkeypatch):
-        # (1 observable + 5 ensemble matrices) * 16 bytes * 2 * 2 = 384 bytes
-        monkeypatch.setattr(operators, "available_memory", lambda: 383)
+        # (1 observable + 5 ensemble matrices) * 16 bytes * 2 * 2 = 384 bytes,
+        # plus 8 bytes * 1 observable * 2 points * 1 trajectory = 400 bytes
+        monkeypatch.setattr(operators, "available_memory", lambda: 399)
         with pytest.raises(DimensionError, match="memory available"):
             run_ensemble(damping_terms(), EXCITED, np.array([0.0, 1.0]),
                          {"sz": pauli("z")}, realizations=1, master_seed=1)
 
     def test_memory_preflight_passes_when_memory_suffices(self, monkeypatch):
-        monkeypatch.setattr(operators, "available_memory", lambda: 384)
+        monkeypatch.setattr(operators, "available_memory", lambda: 400)
         run_ensemble(damping_terms(), EXCITED, np.array([0.0, 1.0]),
                      {"sz": pauli("z")}, realizations=1, master_seed=1)
+
+    def test_memory_preflight_counts_the_batch_samples(self, monkeypatch):
+        # 384 bytes of matrices plus the float64 samples of one batch:
+        # 8 bytes * 1 observable * 20001 points * 256 trajectories
+        total = 384 + 8 * 20001 * 256
+        monkeypatch.setattr(operators, "available_memory", lambda: total - 1)
+        monkeypatch.setattr(mcwf, "_BatchKernel",
+                            lambda *args: pytest.fail("allocated past the preflight"))
+        with pytest.raises(DimensionError, match="memory available"):
+            run_ensemble(damping_terms(), EXCITED, np.linspace(0.0, 20.0, 20001),
+                         {"sz": pauli("z")}, realizations=300, master_seed=1)
 
     def test_memory_preflight_covers_traced_peak(self, monkeypatch):
         # n=9: what the preflight requires bounds what run_ensemble allocates
@@ -395,7 +407,7 @@ class TestEnsemble:
         required = []
         monkeypatch.setattr(mcwf, "require_memory",
                             lambda nbytes, what: required.append(nbytes))
-        mcwf.check_memory(chain.dim, 1)
+        mcwf.check_memory(chain.dim, 1, 5, 8)
         tracemalloc.start()
         try:
             run_ensemble(terms, psi0, np.linspace(0.0, 40.0, 5), obs,
@@ -419,7 +431,7 @@ class TestEnsemble:
         required = []
         monkeypatch.setattr(mcwf, "require_memory",
                             lambda nbytes, what: required.append(nbytes))
-        mcwf.check_memory(chain.dim, 1)
+        mcwf.check_memory(chain.dim, 1, 401, 16)
         tracemalloc.start()
         try:
             res = run_ensemble(terms, psi0, np.linspace(0.0, 400.0, 401), obs,
