@@ -184,8 +184,7 @@ def serialize_config(config: RunConfig) -> str:
 def config_hash(config: RunConfig) -> str:
     """Digest of everything that determines the run's results; the output
     location is excluded so relocated runs stay byte-comparable."""
-    text = "".join(line for line in serialize_config(config).splitlines(keepends=True)
-                   if not line.startswith("output.dir"))
+    text = serialize_config(config).replace(f"output.dir = {config.output_dir}\n", "", 1)
     return hashlib.sha256(text.encode()).hexdigest()
 
 

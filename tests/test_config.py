@@ -117,6 +117,12 @@ class TestOverrides:
         assert updated.realizations == 10
         assert updated.output_dir == "elsewhere"
 
+    def test_hash_ignores_an_output_dir_that_spans_lines(self):
+        config = parse_config("chain.n = 3\n")
+        moved = with_overrides(config, output_dir="a\ntolerance.cluster = 5")
+        assert moved.cluster_tol is None
+        assert config_hash(moved) == config_hash(config)
+
     def test_no_override_is_identity(self):
         config = parse_config("chain.n = 3\n")
         assert with_overrides(config) is config
@@ -140,8 +146,8 @@ def readme_key_rows():
     section = section.split("\n###", 1)[0]
     rows = []
     for line in section.splitlines():
-        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
         if line.startswith("| `"):
+            cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
             rows.append((re.findall(r"`([^`]+)`", cells[0]), cells[1]))
     return rows
 
