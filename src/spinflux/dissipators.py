@@ -30,8 +30,9 @@ point at the bath temperature.
 
 Each generator has one representation, ``Generator.sandwich_terms()``:
 ``(c, A, B)`` terms with ``L(rho) = sum c * A rho B``, coherent part
-included.  ``liouville.assemble`` and ``liouville.apply`` derive from it;
-``LindbladTerms`` is the jump form the trajectory sampler needs.
+included.  ``liouville.assemble`` and ``liouville.apply`` derive from it.
+``LindbladTerms``, the jump form, owns the one CSR ``decay``
+``sum_k rate_k L_k_dag L_k`` that H_eff and the trajectory sampler read.
 
 ``_bohr_labels`` tags every eigenbasis matrix element with its transition
 frequency group.  The ``secular`` jumps are the eigenoperators X(w) that
@@ -48,12 +49,13 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse
 
 from .bath import BathSpec, rate
 from .chain import (ChainSpec, build_coupling_operator, build_hamiltonian,
                     contact_site)
 from .operators import (PAULI, EigenSystem, Operator, eig_hermitian, embedded_sum,
-                        require_memory)
+                        require_memory, stack_rows)
 
 VARIANTS = ("redfield", "secular", "weak_coupling", "local_diag")
 LINDBLAD_VARIANTS = ("secular", "weak_coupling", "local_diag")
@@ -228,13 +230,30 @@ class LindbladTerms:
     def __iter__(self):
         return iter(zip(self.rates, self.jumps))
 
-    def effective_hamiltonian(self) -> np.ndarray:
-        """Non-Hermitian drift H - (i/2) sum_k rate_k L_k_dag L_k."""
+    @cached_property
+    def stacked(self) -> scipy.sparse.csr_array:
+        """The jumps in one CSR matrix, ``L_k`` in rows ``k*d`` to ``k*d + d - 1``."""
         d = self.hamiltonian.dim
-        decay = np.zeros((d, d), dtype=complex)
-        for r, L in self:
-            decay += r * (L.conj().T @ L)
-        return self.hamiltonian.matrix - 0.5j * decay
+        if not self.jumps:
+            return scipy.sparse.csr_array((0, d), dtype=complex)
+        return stack_rows(self.jumps, d * d).reshape((len(self) * d, d)).tocsr()
+
+    @cached_property
+    def decay(self) -> scipy.sparse.csr_array:
+        """``D = sum_k rate_k L_k_dag L_k`` in CSR, formed here only.  Block k of
+        one product is ``L_k_dag L_k``; ``[rate_0 1, rate_1 1, ...]`` adds
+        rate_k times block k in jump order, as a dense loop over channels does
+        (bit for bit when each jump has one non-zero per row)."""
+        d, count = self.hamiltonian.dim, len(self)
+        s = self.stacked.tocoo()
+        adjoints = scipy.sparse.csr_array(  # block diagonal of the L_k_dag
+            (s.data.conj(), (s.row - s.row % d + s.col, s.row)), shape=(count * d,) * 2)
+        weights = scipy.sparse.kron([self.rates], scipy.sparse.eye_array(d), format="csr")
+        return weights @ (adjoints @ self.stacked)
+
+    def effective_hamiltonian(self) -> np.ndarray:
+        """Non-Hermitian drift ``H - (i/2) D``, ``D`` from ``decay``."""
+        return self.hamiltonian.matrix - 0.5j * self.decay
 
     def sandwich_terms(self) -> Iterator[tuple]:
         """``(-i, H_eff, 1)``, ``(i, 1, H_eff_dag)``, then ``(rate_k, L_k,

@@ -39,7 +39,7 @@ import scipy.sparse.linalg
 from .dissipators import Generator
 from .observables import bond_currents, local_energies
 from .operators import (HERMITICITY_RTOL, DimensionError, Operator,
-                        connected_blocks)
+                        connected_blocks, stack_rows)
 
 logger = logging.getLogger(__name__)
 
@@ -180,35 +180,14 @@ def assemble(gen: Generator) -> Superoperator:
             "use the trajectory sampler for longer chains")
     d = gen.chain.dim
     eye = np.eye(d)
-    p_rows, q_rows = [], []
-    for c, a, b in gen.sandwich_terms():
-        p_rows.append(_nonzeros(c * (eye if b is None else b)))
-        q_rows.append(_nonzeros(eye if a is None else a))
-    p, q = _stack_rows(p_rows, d * d), _stack_rows(q_rows, d * d)
-    del p_rows, q_rows
+    p = stack_rows((c * (eye if b is None else b) for c, _, b in gen.sandwich_terms()),
+                   d * d)
+    q = stack_rows((eye if a is None else a for _, a, _ in gen.sandwich_terms()), d * d)
     m = (p.T @ q).tocoo()
     (c, a), (b, e) = np.divmod(m.row, d), np.divmod(m.col, d)
     s = scipy.sparse.csr_array((m.data, (a * d + b, c * d + e)), shape=m.shape)
     s.eliminate_zeros()
     return Superoperator(sparse=s, dim=d, generator=gen)
-
-
-def _nonzeros(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Positions and values of the non-zeros of ``x`` flattened row-major."""
-    x = np.ravel(x)
-    idx = np.flatnonzero(x)
-    return idx, x[idx]
-
-
-def _stack_rows(rows: list, size: int) -> scipy.sparse.csr_array:
-    """CSR matrix whose row t holds the ``(positions, values)`` pair
-    ``rows[t]``, of ``size`` columns; its 32-bit indices, as SuperLU takes
-    them, carry through the product."""
-    indptr = np.cumsum([0] + [len(idx) for idx, _ in rows], dtype=np.int32)
-    return scipy.sparse.csr_array(
-        (np.concatenate([v for _, v in rows]),
-         np.concatenate([idx for idx, _ in rows], dtype=np.int32), indptr),
-        shape=(len(rows), size))
 
 
 def steady_state(s: Superoperator, null_tol: float = NULLSPACE_TOL) -> SteadyStateReport:

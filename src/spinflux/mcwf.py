@@ -7,23 +7,24 @@ segment and a jump fires when the decaying squared norm crosses it.  The jump
 channel is selected with probability proportional to rate * |L psi|^2.
 
 H_eff splits into the connected blocks of its non-zero pattern (for the
-chain, the total-S_z sectors).  Each block is diagonalized once per
-ensemble, and every batch (in any worker process) shares the result, so a
-state is advanced from its last jump in closed form, ``c <- exp(-i Lambda
-dt) c`` in eigen-coordinates.  Its amplitudes ``psi = V c`` give the squared
-norm ``|psi|^2`` at every time, and its derivative ``-psi^dag D psi`` with
-``D = i(H_eff - H_eff^dag)``, positive semidefinite.  A batch moves from jump
-to jump, one round per jump, whatever the length of the grid.  Each jump time
-is the root of the log of the monotone norm minus the log of the threshold,
-found by a bracketed, safeguarded Newton iteration to ``JUMP_TIME_RTOL`` of
-the jump's time; the sampler has no time-step bias.  The grid samples are
-advanced from each column's last jump, in blocks of at most ``BATCH_SIZE``
-states.  A block whose eigenvector matrix is worse
-conditioned than ``EIGVEC_CONDITION_LIMIT`` (near an exceptional point) is
-advanced with ``scipy.linalg.expm`` of the block instead, one stacked call
-per advance for all columns.  The stacked jump operators and the observables
-are applied as CSR matrices: a chain jump or bond current has at most one
-non-zero per row.
+chain, the total-S_z sectors).  Each block is diagonalized once per ensemble,
+and every batch (in any worker process) shares the result, so a state is
+advanced from its last jump in closed form, ``c <- exp(-i Lambda dt) c`` in
+eigen-coordinates.  Its amplitudes ``psi = V c`` give the squared norm
+``|psi|^2`` at every time, and its derivative ``-psi^dag D psi`` with the
+positive semidefinite ``D = LindbladTerms.decay``, in CSR, that H_eff is
+built from.  A batch moves from jump to jump, one round per jump, whatever
+the length of the grid.  Each jump time is the root of the log of the
+monotone norm minus the log of the threshold, found by a bracketed,
+safeguarded Newton iteration to ``JUMP_TIME_RTOL`` of the jump's time; the
+sampler has no time-step bias.  The grid samples are advanced from each
+column's last jump, in blocks of at most ``BATCH_SIZE`` states.  A block
+whose eigenvector matrix is worse conditioned than ``EIGVEC_CONDITION_LIMIT``
+(near an exceptional point) is advanced with ``scipy.linalg.expm`` of the
+block instead, one stacked call per advance for all columns.  The stacked
+jump operators, ``D`` and the observables are applied as CSR matrices: a
+chain jump or bond current has at most one non-zero per row, and ``D`` of a
+local variant is diagonal.
 
 Before it allocates, ``run_ensemble`` checks that the dense matrices it is
 about to allocate, the observables and a batch's samples of them fit in the
@@ -59,10 +60,9 @@ BATCH_SIZE = 256
 EIGVEC_CONDITION_LIMIT = 1e4
 JUMP_TIME_RTOL = 1e-12
 MAX_ROOT_ITERATIONS = 100
-# d x d arrays run_ensemble allocates at its traced peak: H_eff, D, V, V^-1
-# and the build temporaries (4.2 at n=9 from a pure state; a mixed one adds
-# its eigenvectors)
-KERNEL_DENSE_MATRICES = 5
+# d x d arrays run_ensemble allocates at its traced peak, H_eff, V, V^-1 and
+# temporaries: 2.24 at n=9 from a pure state, 3.22 from the maximally mixed one
+KERNEL_DENSE_MATRICES = 4
 _MASK64 = (1 << 64) - 1
 
 
@@ -123,11 +123,8 @@ class TrajectoryEnsembleResult:
 
 
 def effective_hamiltonian(h: Operator, terms: LindbladTerms) -> Operator:
-    """Non-Hermitian drift H - (i/2) sum_k rate_k L_k_dag L_k as an Operator.
-
-    ``h`` can only be ``terms.hamiltonian``, so this wraps
-    ``LindbladTerms.effective_hamiltonian``; it stays for callers outside the
-    package that pass the Hamiltonian."""
+    """``terms.effective_hamiltonian()`` as an Operator, for callers outside
+    the package that pass the Hamiltonian; ``h`` must be ``terms.hamiltonian``."""
     if h.dim != terms.hamiltonian.dim:
         raise DimensionError(f"hamiltonian dim {h.dim} != jump dim "
                              f"{terms.hamiltonian.dim}")
@@ -137,13 +134,14 @@ def effective_hamiltonian(h: Operator, terms: LindbladTerms) -> Operator:
 
 
 class _BatchKernel:
-    """Event-driven propagation for one (H_eff, jumps, grid) triple.
+    """Event-driven propagation for one (jump terms, grid) pair.
 
     States are held in coordinates ``x`` with amplitudes ``psi = V x``:
-    eigen-coordinates on diagonalizable blocks, and plain amplitudes (``V =
-    1``) on the blocks advanced by ``expm``.  The dense matrices are ``v``,
-    ``v_inv`` and ``decay = i(H_eff - H_eff^dag)``, which on amplitudes gives
-    minus the rate of change of the squared norm.
+    eigen-coordinates on diagonalizable blocks of H_eff, and plain amplitudes
+    (``V = 1``) on the blocks advanced by ``expm``.  The dense matrices are
+    ``v`` and ``v_inv``; the stacked jumps and ``decay``, which on amplitudes
+    gives minus the rate of change of the squared norm, are the CSR ones of
+    ``terms``.
 
     A batch takes one round per jump, whatever the grid: each round advances
     every active column from its last jump to the grid's end, finishes the
@@ -154,17 +152,15 @@ class _BatchKernel:
     sample array grows with the grid.
     """
 
-    def __init__(self, h_eff: np.ndarray, terms: LindbladTerms, times: np.ndarray):
+    def __init__(self, terms: LindbladTerms, times: np.ndarray):
         self.times = np.asarray(times, dtype=float)
         if self.times.ndim != 1 or len(self.times) < 1 or \
                 np.any(np.diff(self.times) <= 0):
             raise ValueError("times must be a non-empty strictly increasing grid")
-        self.dim = dim = h_eff.shape[0]
+        self.dim = dim = terms.hamiltonian.dim
         self.rates = np.array(terms.rates)
-        jumps = [scipy.sparse.csr_array(L) for L in terms.jumps]
-        self.stacked = (scipy.sparse.vstack(jumps, format="csr") if jumps
-                        else scipy.sparse.csr_array((0, dim), dtype=complex))
-        self.decay = 1j * (h_eff - h_eff.conj().T)
+        self.stacked, self.decay = terms.stacked, terms.decay
+        h_eff = terms.effective_hamiltonian()
         self.eigenvalues = np.zeros(dim, dtype=complex)
         self.v = np.zeros((dim, dim), dtype=complex)
         self.v_inv = np.zeros((dim, dim), dtype=complex)
@@ -312,13 +308,16 @@ class _BatchKernel:
 
 def evolve_trajectory(h_eff: Operator, terms: LindbladTerms, psi0: np.ndarray,
                       times: np.ndarray, seed: int) -> Trajectory:
-    """Single stochastic realization with full state and jump records."""
+    """Single stochastic realization with full state and jump records;
+    ``h_eff`` must be ``terms.effective_hamiltonian()``."""
     psi0 = np.asarray(psi0, dtype=complex).ravel()
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-10:
         raise ValueError("initial state must be normalized")
     if psi0.shape[0] != h_eff.dim:
         raise DimensionError(f"state dim {psi0.shape[0]} != hamiltonian dim {h_eff.dim}")
-    kernel = _BatchKernel(h_eff.matrix, terms, times)
+    if not np.array_equal(h_eff.matrix, terms.effective_hamiltonian()):
+        raise ValueError("h_eff differs from the effective Hamiltonian of the jump terms")
+    kernel = _BatchKernel(terms, times)
     rng = _rng_for(seed)
     jump_log = [[]]
     states = np.empty((len(kernel.times), kernel.dim), dtype=complex)
@@ -405,8 +404,7 @@ def run_ensemble(terms: LindbladTerms, initial, times: np.ndarray,
 
     if workers is None:
         workers = int(os.environ.get("SPINFLUX_WORKERS", "1"))
-    batch_args = (_BatchKernel(terms.effective_hamiltonian(), terms, times),
-                  obs_mats, vectors, cum, master_seed)
+    batch_args = (_BatchKernel(terms, times), obs_mats, vectors, cum, master_seed)
     spans = [(s, min(BATCH_SIZE, realizations - s))
              for s in range(0, realizations, BATCH_SIZE)]
 
@@ -417,14 +415,7 @@ def run_ensemble(terms: LindbladTerms, initial, times: np.ndarray,
     else:
         partials = [_run_batch(*batch_args, *span) for span in spans]
 
-    n_t = len(np.asarray(times))
-    sums = np.zeros((len(obs_mats), n_t))
-    sumsq = np.zeros((len(obs_mats), n_t))
-    jump_counts = np.zeros(len(terms.rates), dtype=int)
-    for ps, pq, pj in partials:
-        sums += ps
-        sumsq += pq
-        jump_counts += pj
+    sums, sumsq, jump_counts = (sum(parts) for parts in zip(*partials))
 
     r = realizations
     means = sums / r

@@ -170,6 +170,21 @@ def embedded_sum(blocks, n: int) -> np.ndarray:
     return out
 
 
+def stack_rows(mats, size: int) -> scipy.sparse.csr_array:
+    """CSR matrix of ``size`` columns whose row t holds the non-zeros of
+    ``mats[t]`` flattened row-major, with the 32-bit indices SuperLU takes.
+    Only the non-zeros of each matrix are kept while ``mats`` is consumed."""
+    positions, values = [], []
+    for m in mats:
+        x = np.ravel(m)
+        positions.append(np.flatnonzero(x))
+        values.append(x[positions[-1]])
+    indptr = np.cumsum([0] + [len(idx) for idx in positions], dtype=np.int32)
+    return scipy.sparse.csr_array(
+        (np.concatenate(values), np.concatenate(positions, dtype=np.int32), indptr),
+        shape=(len(positions), size))
+
+
 def connected_blocks(matrix) -> list[np.ndarray]:
     """Index sets, ordered by smallest index, of the connected components of
     the symmetrized non-zero pattern of a dense or sparse square matrix: the
@@ -207,15 +222,11 @@ def eig_hermitian(a: Operator) -> EigenSystem:
 
 
 def _fix_phases(vecs: np.ndarray) -> np.ndarray:
-    out = vecs.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        mags = np.abs(col)
-        lead = np.argmax(mags > 1e-12 * mags.max())
-        phase = col[lead] / abs(col[lead])
-        out[:, j] = col * phase.conjugate()
-        # scrub the residual imaginary dust on the lead component
-        out[lead, j] = out[lead, j].real
+    cols = np.arange(vecs.shape[1])
+    lead = np.argmax(np.abs(vecs) > 1e-12 * np.abs(vecs).max(axis=0), axis=0)
+    out = vecs * (vecs[lead, cols] / np.abs(vecs[lead, cols])).conj()
+    # scrub the residual imaginary dust on the lead components
+    out[lead, cols] = out[lead, cols].real
     return out
 
 

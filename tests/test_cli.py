@@ -203,10 +203,10 @@ class TestFailureModes:
         assert record["exit_code"] == 3
 
     def test_mcwf_memory_preflight_exit_code_and_record(self, tmp_path, monkeypatch):
-        # 5 observables + 5 ensemble matrices at d = 8 need 10240 bytes, and
+        # 5 observables + 4 ensemble matrices at d = 8 need 9216 bytes, and
         # the samples of 5 observables at 9 points for 256 trajectories
         # 92160 bytes more
-        monkeypatch.setattr(operators, "available_memory", lambda: 102399)
+        monkeypatch.setattr(operators, "available_memory", lambda: 101375)
         cfg = write_config(tmp_path, BASE + "mode = mcwf\nvariant = weak_coupling\n")
         out = tmp_path / "o"
         assert main(["run", str(cfg), "--out", str(out)]) == 3

@@ -432,6 +432,21 @@ class TestLindbladTerms:
         with pytest.raises(ValueError, match="dim"):
             apply(terms.sandwich_terms(), np.eye(4, dtype=complex) / 4)
 
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("variant", ["secular", "weak_coupling", "local_diag"])
+    def test_decay_is_the_anti_hermitian_part_of_h_eff(self, variant, n):
+        chain = ChainSpec(n=n, field=1.0, exchange=0.01)
+        terms = make_generator(variant, chain=chain).lindblad_terms()
+        decay = terms.decay.toarray()
+        h_eff = terms.effective_hamiltonian()
+        scale = np.abs(decay).max()
+        assert np.abs(1j * (h_eff - h_eff.conj().T) - decay).max() <= 1e-14 * scale
+        dense = sum(r * (L.conj().T @ L) for r, L in terms)
+        assert np.abs(decay - dense).max() <= 1e-14 * scale
+        if variant != "secular":
+            # every local jump has at most one non-zero per row and column
+            assert np.array_equal(decay, np.diag(np.diag(decay)))
+
 
 class TestGeneratorSpec:
     @pytest.mark.parametrize("variant,calls", [("weak_coupling", 0), ("local_diag", 0),

@@ -40,6 +40,7 @@ class TestEffectiveHamiltonian:
         h = two_level_field()
         empty = LindbladTerms(rates=(), jumps=(), hamiltonian=h)
         assert np.array_equal(effective_hamiltonian(h, empty).matrix, h.matrix)
+        assert empty.decay.shape == (2, 2) and empty.decay.nnz == 0
 
     def test_two_level_decay(self):
         h = two_level_field()
@@ -47,11 +48,13 @@ class TestEffectiveHamiltonian:
         want = h.matrix - 0.5j * np.diag([1.0, 0.0])
         assert np.abs(h_eff - want).max() <= 1e-15
 
-    def test_decay_part_is_positive_semidefinite(self):
+    @pytest.mark.parametrize("source", ["h_eff", "terms.decay"])
+    def test_decay_part_is_positive_semidefinite(self, source):
         gen = Generator("weak_coupling", FIG_CHAIN, LEFT, RIGHT)
         terms = gen.lindblad_terms()
         h_eff = effective_hamiltonian(gen.hamiltonian, terms).matrix
-        decay = 1j * (h_eff - h_eff.conj().T)
+        decay = (1j * (h_eff - h_eff.conj().T) if source == "h_eff"
+                 else terms.decay.toarray())
         assert np.linalg.eigvalsh(decay).min() >= -1e-12
         # equivalently the anti-hermitian part only ever shrinks the norm
         assert np.linalg.eigvalsh(-decay).max() <= 1e-12
@@ -113,6 +116,14 @@ class TestTrajectory:
         assert np.array_equal(a.jump_channels, b.jump_channels)
         assert np.array_equal(a.states, b.states)
 
+    def test_foreign_hamiltonian_rejected(self):
+        # the kernel reads the jumps and the decay from terms alone, so an
+        # h_eff of other terms would simulate neither generator
+        foreign = effective_hamiltonian(two_level_field(), damping_terms(rate=2.0))
+        with pytest.raises(ValueError, match="differs"):
+            evolve_trajectory(foreign, damping_terms(rate=1.0), EXCITED,
+                              np.array([0.0, 1.0]), seed=1)
+
     def test_rejects_unnormalized_state(self):
         terms = damping_terms()
         h_eff = effective_hamiltonian(two_level_field(), terms)
@@ -123,9 +134,8 @@ class TestTrajectory:
     def test_jump_waiting_times_are_exponential(self):
         # 10^4 decays from the excited state; first-jump times ~ Exp(1)
         terms = damping_terms(rate=1.0)
-        h_eff = effective_hamiltonian(two_level_field(), terms).matrix
         count = 10_000
-        kernel = _BatchKernel(h_eff, terms, np.array([0.0, 14.0]))
+        kernel = _BatchKernel(terms, np.array([0.0, 14.0]))
         rngs = [_rng_for(split_seed(2030, r)) for r in range(count)]
         psi0 = np.tile(EXCITED[:, None], (1, count))
         jump_log = [[] for _ in range(count)]
@@ -238,7 +248,7 @@ class TestBlocks:
         gen = Generator("weak_coupling", FIG_CHAIN, LEFT, RIGHT)
         terms = gen.lindblad_terms()
         grid = np.linspace(0.0, 400.0, 51)
-        kernel = _BatchKernel(terms.effective_hamiltonian(), terms, grid)
+        kernel = _BatchKernel(terms, grid)
         count = 300
         psi0 = np.eye(8, dtype=complex)[:, np.arange(count) % 8]
         rngs = [_rng_for(split_seed(808, r)) for r in range(count)]
@@ -256,9 +266,8 @@ class TestBlocks:
         h = Operator(g * pauli("x").matrix, hermitian=True)
         terms = LindbladTerms(rates=(gamma,), jumps=(pauli("minus").matrix,),
                               hamiltonian=h)
-        h_eff = effective_hamiltonian(h, terms).matrix
         grid = np.linspace(0.0, 6.0, 13)
-        kernel = _BatchKernel(h_eff, terms, grid)
+        kernel = _BatchKernel(terms, grid)
         assert [list(idx) for idx, _ in kernel.expm_blocks] == [[0, 1]]
 
         eye = np.eye(2)
@@ -373,22 +382,22 @@ class TestEnsemble:
         assert len(calls) == 1
 
     def test_memory_preflight_refuses_before_allocating(self, monkeypatch):
-        # (1 observable + 5 ensemble matrices) * 16 bytes * 2 * 2 = 384 bytes,
-        # plus 8 bytes * 1 observable * 2 points * 1 trajectory = 400 bytes
-        monkeypatch.setattr(operators, "available_memory", lambda: 399)
+        # (1 observable + 4 ensemble matrices) * 16 bytes * 2 * 2 = 320 bytes,
+        # plus 8 bytes * 1 observable * 2 points * 1 trajectory = 336 bytes
+        monkeypatch.setattr(operators, "available_memory", lambda: 335)
         with pytest.raises(DimensionError, match="memory available"):
             run_ensemble(damping_terms(), EXCITED, np.array([0.0, 1.0]),
                          {"sz": pauli("z")}, realizations=1, master_seed=1)
 
     def test_memory_preflight_passes_when_memory_suffices(self, monkeypatch):
-        monkeypatch.setattr(operators, "available_memory", lambda: 400)
+        monkeypatch.setattr(operators, "available_memory", lambda: 336)
         run_ensemble(damping_terms(), EXCITED, np.array([0.0, 1.0]),
                      {"sz": pauli("z")}, realizations=1, master_seed=1)
 
     def test_memory_preflight_counts_the_batch_samples(self, monkeypatch):
-        # 384 bytes of matrices plus the float64 samples of one batch:
+        # 320 bytes of matrices plus the float64 samples of one batch:
         # 8 bytes * 1 observable * 20001 points * 256 trajectories
-        total = 384 + 8 * 20001 * 256
+        total = 320 + 8 * 20001 * 256
         monkeypatch.setattr(operators, "available_memory", lambda: total - 1)
         monkeypatch.setattr(mcwf, "_BatchKernel",
                             lambda *args: pytest.fail("allocated past the preflight"))
@@ -396,21 +405,27 @@ class TestEnsemble:
             run_ensemble(damping_terms(), EXCITED, np.linspace(0.0, 20.0, 20001),
                          {"sz": pauli("z")}, realizations=300, master_seed=1)
 
-    def test_memory_preflight_covers_traced_peak(self, monkeypatch):
-        # n=9: what the preflight requires bounds what run_ensemble allocates
+    @pytest.mark.parametrize("start", ["pure", "maximally_mixed"])
+    def test_memory_preflight_covers_traced_peak(self, monkeypatch, start):
+        # n=9: what the preflight requires bounds what run_ensemble allocates;
+        # the maximally mixed start, the CLI's default, adds its eigenvectors
         chain = ChainSpec(n=9, field=1.0, exchange=0.01)
         gen = Generator("weak_coupling", chain, LEFT, RIGHT)
         terms = gen.lindblad_terms()
         obs = {"j": reported_current_operator(chain, 1)}
-        psi0 = np.zeros(chain.dim, dtype=complex)
-        psi0[1] = 1.0
+        if start == "pure":
+            initial = np.zeros(chain.dim, dtype=complex)
+            initial[1] = 1.0
+        else:
+            initial = Operator(np.eye(chain.dim, dtype=complex) / chain.dim,
+                               hermitian=True)
         required = []
         monkeypatch.setattr(mcwf, "require_memory",
                             lambda nbytes, what: required.append(nbytes))
         mcwf.check_memory(chain.dim, 1, 5, 8)
         tracemalloc.start()
         try:
-            run_ensemble(terms, psi0, np.linspace(0.0, 40.0, 5), obs,
+            run_ensemble(terms, initial, np.linspace(0.0, 40.0, 5), obs,
                          realizations=8, master_seed=3)
             _, peak = tracemalloc.get_traced_memory()
         finally:

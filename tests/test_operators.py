@@ -233,3 +233,47 @@ class TestTieOrder:
         vecs = rng.choice(parts, size=(4, 200)) + 1j * rng.choice(parts, size=(4, 200))
         vals = rng.integers(0, 3, size=200).astype(float)
         assert np.array_equal(_stable_order(vals, vecs), tuple_tie_order(vals, vecs))
+
+
+def column_loop_phases(vecs):
+    """Reference phase fix, one column at a time: each column divided by the
+    phase of its first component above 1e-12 of its largest, which is then
+    made exactly real."""
+    out = vecs.copy()
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        mags = np.abs(col)
+        lead = np.argmax(mags > 1e-12 * mags.max())
+        phase = col[lead] / abs(col[lead])
+        out[:, j] = col * phase.conjugate()
+        out[lead, j] = out[lead, j].real
+    return out
+
+
+class TestPhaseFix:
+    def spy_input(self, monkeypatch, a):
+        """The eigenvectors that ``eig_hermitian(a)`` hands to ``_fix_phases``."""
+        seen = []
+        monkeypatch.setattr(operators, "_fix_phases", lambda vecs: (
+            seen.append(vecs) or _fix_phases(vecs)))
+        eig_hermitian(a)
+        return seen[0]
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_chain_matches_column_loop(self, monkeypatch, n):
+        vecs = self.spy_input(monkeypatch, build_hamiltonian(
+            ChainSpec(n=n, field=1.0, exchange=0.01)))
+        assert np.array_equal(_fix_phases(vecs).view(float),
+                              column_loop_phases(vecs).view(float))
+
+    @pytest.mark.parametrize("d", [4, 16, 60])
+    def test_random_hermitian_matches_column_loop(self, monkeypatch, d):
+        # eigh returns each block's first component real, so the phases
+        # are divided exactly and the loop's arithmetic is unchanged
+        rng = np.random.default_rng(d)
+        for a in (random_hermitian(rng, d),
+                  Operator(np.kron(random_hermitian(rng, 4).matrix, np.eye(d // 4)),
+                           hermitian=True)):
+            vecs = self.spy_input(monkeypatch, a)
+            assert np.array_equal(_fix_phases(vecs).view(float),
+                                  column_loop_phases(vecs).view(float))
