@@ -21,8 +21,7 @@ from .liouville import (DegenerateSteadyStateError, SolverError,
 from .mcwf import (NormCollapseError, Trajectory, TrajectoryEnsembleResult,
                    effective_hamiltonian, evolve_trajectory, run_ensemble,
                    split_seed)
-from .observables import (TransportReport, bond_currents, diagonality_defect,
-                          expectation_series, gibbs_state, local_energies,
-                          reported_current_operator, trace_distance,
-                          transport_report)
+from .observables import (bond_currents, diagonality_defect, expectation_series,
+                          gibbs_state, local_energies, reported_current_operator,
+                          trace_distance, transport_report)
 from .operators import DimensionError, EigenSystem, Operator, eig_hermitian, pauli

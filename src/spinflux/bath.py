@@ -32,9 +32,10 @@ class BathSpec:
     side: str
 
     def __post_init__(self):
-        if not self.beta > 0:
-            raise ValueError(f"inverse temperature must be > 0, got {self.beta}")
-        if self.coupling < 0:
+        if not 0 < self.beta < math.inf:
+            raise ValueError(f"inverse temperature must be positive and finite, "
+                             f"got {self.beta}")
+        if not self.coupling >= 0:
             raise ValueError(f"bath coupling must be >= 0, got {self.coupling}")
         if self.side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', got {self.side!r}")

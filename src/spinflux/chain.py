@@ -45,7 +45,7 @@ class ChainSpec:
             raise ValueError(f"chain needs at least 2 sites, got n={self.n}")
         if not self.field > 0:
             raise ValueError(f"local field must be positive, got {self.field}")
-        if self.exchange < 0:
+        if not self.exchange >= 0:
             raise ValueError(f"exchange coupling must be >= 0, got {self.exchange}")
         if self.exchange > WEAK_EXCHANGE_RATIO * self.field:
             warnings.warn(

@@ -15,7 +15,8 @@ variant, tolerances).  Outputs are byte-stable: identical configuration and
 seed give identical files, whatever SPINFLUX_WORKERS or the BLAS thread
 count says.
 
-Exit codes: 0 success, 2 configuration error, 3 solver failure (including a
+Exit codes: 0 success, 2 configuration error (including a configuration file
+that cannot be read or decoded), 3 solver failure (including a
 chain too long for Liouville-space solves, and a trajectory ensemble or a
 Bohr decomposition whose dense matrices would not fit in the memory
 available).
@@ -39,8 +40,8 @@ from .dissipators import VARIANTS, Generator, VariantError
 from .liouville import (SolverError, Superoperator, assemble, propagate,
                         steady_state)
 from .mcwf import NormCollapseError, check_memory, run_ensemble
-from .observables import (diagonality_defect, expectation_series, gibbs_state,
-                          reported_current_operator)
+from .observables import (expectation_series, gibbs_state,
+                          reported_current_operator, transport_report)
 from .operators import DimensionError, Operator, eig_hermitian
 
 logger = logging.getLogger(__name__)
@@ -101,12 +102,13 @@ def _format(x: float) -> str:
     return repr(float(x))
 
 
-def _write_csv(path: Path, provenance: dict, header: list[str],
-               columns: list[np.ndarray]) -> None:
+def _write_csv(path: Path, provenance: dict, columns: dict) -> None:
+    """Provenance comment lines, then ``columns``, an ordered mapping from
+    column name to values (time first), as a header and rows."""
     lines = [f"# {key}: {json.dumps(value, sort_keys=True)}"
              for key, value in sorted(provenance.items())]
-    lines.append(",".join(header))
-    for row in zip(*columns):
+    lines.append(",".join(columns))
+    for row in zip(*columns.values()):
         lines.append(",".join(_format(x) for x in row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -117,18 +119,8 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _steady_payload(config: RunConfig, s: Superoperator) -> dict:
-    variant = s.generator.variant
-    report = steady_state(s, null_tol=config.nullspace_tol)
-    return {
-        "variant": variant,
-        "currents": [float(x) for x in report.currents],
-        "local_energies": [float(x) for x in report.energies],
-        "residual": report.residual,
-        "null_space_dim": report.null_space_dim,
-        "min_eigenvalue": report.min_eigenvalue,
-        "diagonality_defect": diagonality_defect(report.state,
-                                                 s.generator.eigensystem),
-    }
+    return transport_report(steady_state(s, null_tol=config.nullspace_tol),
+                            s.generator.eigensystem)
 
 
 def run(config: RunConfig) -> None:
@@ -153,21 +145,21 @@ def run(config: RunConfig) -> None:
     if config.mode == "evolve":
         observables = _observables(config)
         states = propagate(assemble(_generator(config)), rho0, times)
-        columns = [times] + [expectation_series(states, op)
-                             for op in observables.values()]
-        _write_csv(out / "series.csv", provenance, ["time", *observables], columns)
+        columns = {"time": times}
+        columns.update((name, expectation_series(states, op))
+                       for name, op in observables.items())
+        _write_csv(out / "series.csv", provenance, columns)
         return
 
     if config.mode == "mcwf":
         observables = _observables(config)
         result = run_ensemble(_generator(config).lindblad_terms(), rho0, times,
                               observables, config.realizations, config.master_seed)
-        header = ["time"]
-        columns = [times]
+        columns = {"time": times}
         for n in observables:
-            header += [n, f"{n}_se"]
-            columns += [result.means[n], result.standard_errors[n]]
-        _write_csv(out / "mcwf.csv", provenance, header, columns)
+            columns[n] = result.means[n]
+            columns[f"{n}_se"] = result.standard_errors[n]
+        _write_csv(out / "mcwf.csv", provenance, columns)
         return
 
     # compare: non-secular reference vs weak-coupling Lindblad vs its ensemble;
@@ -180,14 +172,13 @@ def run(config: RunConfig) -> None:
     ensemble = run_ensemble(weak.lindblad_terms(), rho0, times,
                             {"current_b1": current},
                             config.realizations, config.master_seed)
-    series = {
+    _write_csv(out / "compare.csv", provenance, {
+        "time": times,
         "current_redfield": red_current,
         "current_weak_coupling": weak_current,
         "current_weak_coupling_mcwf": ensemble.means["current_b1"],
         "current_weak_coupling_mcwf_se": ensemble.standard_errors["current_b1"],
-    }
-    _write_csv(out / "compare.csv", provenance,
-               ["time"] + list(series), [times] + list(series.values()))
+    })
     _write_json(out / "steady.json", {
         "provenance": provenance,
         "steady": {"redfield": red_steady, "weak_coupling": weak_steady},
@@ -239,16 +230,11 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     config = None
     try:
-        text = Path(args.config).read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        config = parse_config(text)
+        config = parse_config(Path(args.config).read_text(encoding="utf-8"))
         config = with_overrides(config, mode=args.mode, variant=args.variant,
                                 output_dir=args.out, master_seed=args.seed,
                                 realizations=args.realizations)
-    except ConfigError as exc:
+    except (OSError, UnicodeDecodeError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         _write_error(config, args.out, exc, EXIT_CONFIG)
         return EXIT_CONFIG

@@ -10,6 +10,7 @@ bath coupling 0.01, inverse temperatures 0.41 / 1.39, maximally mixed start).
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -70,16 +71,20 @@ _KINDS = {key: kind for key, _, kind, _ in _KEYS}
 
 def _convert(key: str, raw, where: str):
     """A file value, which is text, or an override, which is text or of the
-    key's type, checked and converted to the key's type."""
+    key's type, checked and converted to the key's type; a number must be
+    finite."""
     kind = _KINDS[key]
     if raw == "":
         raise ConfigError(f"{where}: empty value for key {key!r}")
+    noun = {int: "an integer", float: "a number", str: "a string"}[kind]
     try:
         if type(raw) is kind or isinstance(raw, str):
-            return kind(raw)
+            value = kind(raw)
+            if kind is not float or math.isfinite(value):
+                return value
+            noun = "a finite number"
     except ValueError:
         pass
-    noun = {int: "an integer", float: "a number", str: "a string"}[kind]
     raise ConfigError(f"{where}: key {key!r} needs {noun}, got {raw!r}")
 
 
@@ -139,8 +144,8 @@ def _build(v: dict) -> RunConfig:
                 beta0 = float(initial.split(":", 1)[1])
             except ValueError:
                 raise ConfigError(f"initial_state: bad gibbs beta in {initial!r}") from None
-            if not beta0 > 0:
-                raise ConfigError("initial_state: gibbs beta must be positive")
+            if not 0 < beta0 < math.inf:
+                raise ConfigError("initial_state: gibbs beta must be positive and finite")
         else:
             raise ConfigError(
                 f"initial_state: unknown value {initial!r}; use maximally_mixed, "

@@ -90,8 +90,8 @@ def _bohr_labels(eig: EigenSystem, cluster_tol: float) -> tuple[np.ndarray, np.n
     element ``(i, j)`` lowers the energy by ``freqs[k - 1]``, ``-k`` when it
     raises it by that much, and 0 within one level.
     """
-    if cluster_tol < 0:
-        raise ValueError("cluster_tol must be >= 0")
+    if not cluster_tol >= 0:
+        raise ValueError(f"cluster_tol must be >= 0, got {cluster_tol}")
     level_groups = _cluster_sorted(eig.eigenvalues, cluster_tol)
     level_of = np.empty(eig.dim, dtype=int)
     level_means = np.empty(len(level_groups))
@@ -270,10 +270,10 @@ class LindbladTerms:
 class Generator:
     """One master-equation generator: a variant bound to a chain and two baths.
 
-    The Hamiltonian's eigensystem and the Bohr eigenoperator sets are
-    computed on first use: ``redfield`` needs only the eigensystem at
-    construction, ``secular`` both, and the local variants neither.
-    Everything else is built eagerly and is immutable.
+    The Hamiltonian's eigensystem, the contact operators and the Bohr
+    eigenoperator sets are computed on first use: ``redfield`` needs the
+    first two at construction, ``secular`` all three, and the local variants
+    none.  Everything else is built eagerly and is immutable.
     """
 
     def __init__(self, variant: str, chain: ChainSpec, bath_left: BathSpec,
@@ -288,8 +288,6 @@ class Generator:
         self.cluster_tol = (DEFAULT_CLUSTER_TOL_FACTOR * chain.field
                             if cluster_tol is None else float(cluster_tol))
         self.hamiltonian = build_hamiltonian(chain)
-        self.coupling_operators = tuple(
-            build_coupling_operator(chain, b.side) for b in self.baths)
 
         self._eigensets: tuple[tuple, ...] | None = None
         self._filtered: tuple[np.ndarray, ...] | None = None
@@ -320,6 +318,11 @@ class Generator:
     @cached_property
     def eigensystem(self) -> EigenSystem:
         return eig_hermitian(self.hamiltonian)
+
+    @cached_property
+    def coupling_operators(self) -> tuple[Operator, Operator]:
+        """The sigma_x contacts of the left and right bath."""
+        return tuple(build_coupling_operator(self.chain, b.side) for b in self.baths)
 
     @property
     def is_lindblad(self) -> bool:

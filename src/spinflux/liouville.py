@@ -39,7 +39,7 @@ import scipy.sparse.linalg
 from .dissipators import Generator
 from .observables import bond_currents, local_energies
 from .operators import (HERMITICITY_RTOL, DimensionError, Operator,
-                        connected_blocks, stack_rows)
+                        connected_blocks, stack_rows, time_grid)
 
 logger = logging.getLogger(__name__)
 
@@ -283,9 +283,7 @@ def propagate(s: Superoperator, rho0: Operator, times: np.ndarray) -> list[Opera
     before.  Trace drift beyond TRACE_DRIFT_TOL at any output time is an
     error, never a silent renormalization.
     """
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or len(times) == 0 or np.any(np.diff(times) <= 0):
-        raise ValueError("times must be a non-empty strictly increasing grid")
+    times = time_grid(times)
     if times[0] < 0:
         raise ValueError("times must be non-negative")
     if rho0.dim != s.dim:

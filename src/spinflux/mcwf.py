@@ -53,7 +53,7 @@ import scipy.sparse
 
 from .dissipators import LindbladTerms
 from .operators import (DimensionError, Operator, connected_blocks, eig_hermitian,
-                        require_memory)
+                        require_memory, time_grid)
 
 NORM_COLLAPSE = 1e-14
 BATCH_SIZE = 256
@@ -153,10 +153,7 @@ class _BatchKernel:
     """
 
     def __init__(self, terms: LindbladTerms, times: np.ndarray):
-        self.times = np.asarray(times, dtype=float)
-        if self.times.ndim != 1 or len(self.times) < 1 or \
-                np.any(np.diff(self.times) <= 0):
-            raise ValueError("times must be a non-empty strictly increasing grid")
+        self.times = time_grid(times)
         self.dim = dim = terms.hamiltonian.dim
         self.rates = np.array(terms.rates)
         self.stacked, self.decay = terms.stacked, terms.decay

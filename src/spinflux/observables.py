@@ -1,38 +1,22 @@
-"""Physical quantities derived from states: currents, energies, comparison metrics."""
+"""Physical quantities derived from states: currents, energies, comparison
+metrics, and ``transport_report``, the one builder of the stationary row
+that ``steady.json`` holds."""
 
 from __future__ import annotations
 
 import logging
 import warnings
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .chain import (ChainSpec, build_current_operator, build_hamiltonian,
-                    build_local_hamiltonian_site)
+from .chain import ChainSpec, build_current_operator, build_local_hamiltonian_site
 from .operators import DimensionError, EigenSystem, Operator, eig_hermitian
 
+if TYPE_CHECKING:
+    from .liouville import SteadyStateReport
+
 logger = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class TransportReport:
-    """Steady-transport summary: one current per bond, one energy per site,
-    plus the coherence and positivity diagnostics of the state."""
-
-    currents: np.ndarray
-    energies: np.ndarray
-    diagonality_defect: float
-    positivity_floor: float
-    variant: str
-
-    def __post_init__(self):
-        for name in ("currents", "energies"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} contain non-finite entries")
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
 
 
 # The raw bond operator i[V(b), H_loc(b)] equals the coherent growth rate of
@@ -105,13 +89,17 @@ def gibbs_state(h: Operator, beta: float) -> Operator:
     return Operator(rho, hermitian=True)
 
 
-def transport_report(rho: Operator, spec: ChainSpec, variant: str) -> TransportReport:
-    """Bundle the transport observables of a (steady) state."""
-    basis = eig_hermitian(build_hamiltonian(spec))
-    return TransportReport(
-        currents=bond_currents(rho, spec),
-        energies=local_energies(rho, spec),
-        diagonality_defect=diagonality_defect(rho, basis),
-        positivity_floor=float(np.linalg.eigvalsh(rho.matrix).min()),
-        variant=variant,
-    )
+def transport_report(report: SteadyStateReport, basis: EigenSystem) -> dict:
+    """The stationary row of a steady-state report, as ``steady.json`` holds
+    it: currents and energies as lists of floats, the solve diagnostics, and
+    the state's ``diagonality_defect`` in ``basis``, the generator's
+    eigensystem."""
+    return {
+        "variant": report.variant,
+        "currents": [float(x) for x in report.currents],
+        "local_energies": [float(x) for x in report.energies],
+        "residual": report.residual,
+        "null_space_dim": report.null_space_dim,
+        "min_eigenvalue": report.min_eigenvalue,
+        "diagonality_defect": diagonality_defect(report.state, basis),
+    }

@@ -185,6 +185,16 @@ def stack_rows(mats, size: int) -> scipy.sparse.csr_array:
         shape=(len(positions), size))
 
 
+def time_grid(times) -> np.ndarray:
+    """``times`` as a float array, which must be a non-empty, finite and
+    strictly increasing one-dimensional grid."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or len(times) == 0 or not (
+            np.isfinite(times).all() and (np.diff(times) > 0).all()):
+        raise ValueError("times must be a non-empty, finite, strictly increasing grid")
+    return times
+
+
 def connected_blocks(matrix) -> list[np.ndarray]:
     """Index sets, ordered by smallest index, of the connected components of
     the symmetrized non-zero pattern of a dense or sparse square matrix: the

@@ -21,6 +21,16 @@ class TestSpec:
         with pytest.raises(ValueError, match="coupling"):
             make_bath(coupling=-0.1)
 
+    @pytest.mark.parametrize("beta", [math.nan, math.inf])
+    def test_rejects_non_finite_beta(self, beta):
+        # at beta = inf the w = 0 limit kappa/(2 beta) of rate is nan
+        with pytest.raises(ValueError, match="temperature"):
+            make_bath(beta=beta)
+
+    def test_rejects_nan_coupling(self):
+        with pytest.raises(ValueError, match="coupling"):
+            make_bath(coupling=math.nan)
+
 
 class TestPlanck:
     def test_log2_value(self):

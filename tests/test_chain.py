@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,11 @@ class TestSpec:
     def test_requires_positive_field(self):
         with pytest.raises(ValueError, match="field"):
             ChainSpec(n=2, field=0.0, exchange=0.0)
+
+    @pytest.mark.parametrize("field,exchange", [(math.nan, 0.0), (1.0, math.nan)])
+    def test_rejects_nan(self, field, exchange):
+        with pytest.raises(ValueError, match="field|exchange"):
+            ChainSpec(n=2, field=field, exchange=exchange)
 
     def test_strong_exchange_warns(self):
         with pytest.warns(UserWarning, match="exchange/field"):

@@ -8,8 +8,12 @@ import numpy as np
 import pytest
 
 import spinflux
-from spinflux import cli, operators
+from spinflux import cli, config, operators
 from spinflux.cli import main
+from spinflux.config import parse_config
+from spinflux.dissipators import VARIANTS, Generator
+from spinflux.liouville import assemble, steady_state
+from spinflux.observables import transport_report
 
 BASE = """\
 chain.n = 3
@@ -78,6 +82,18 @@ class TestSteadyMode:
                                            "steady/steady.json"]
         for f in files:
             assert (tmp_path / "1" / f).read_bytes() == (tmp_path / "2" / f).read_bytes()
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_row_is_the_transport_report(self, tmp_path, variant):
+        text = BASE + f"mode = steady\nvariant = {variant}\n"
+        out = tmp_path / "o"
+        assert main(["run", str(write_config(tmp_path, text)), "--out", str(out)]) == 0
+        run_config = parse_config(text)
+        gen = Generator(variant, run_config.chain, run_config.bath_left,
+                        run_config.bath_right)
+        row = transport_report(steady_state(assemble(gen)), gen.eigensystem)
+        steady = json.loads((out / "steady.json").read_text())["steady"]
+        assert steady == json.loads(json.dumps(row))
 
     def test_equal_temperature_currents_vanish(self, tmp_path):
         text = BASE.replace("bath.left.beta = 0.41", "bath.left.beta = 1.39")
@@ -181,6 +197,49 @@ class TestFailureModes:
 
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.conf")]) == 2
+
+    def test_missing_file_record(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["run", str(tmp_path / "nope.conf"), "--out", str(out)]) == 2
+        record = json.loads((out / "error.json").read_text())
+        assert record["error"] == "FileNotFoundError"
+        assert record["exit_code"] == 2
+
+    def test_undecodable_file_exit_code_and_record(self, tmp_path):
+        cfg = tmp_path / "run.conf"
+        cfg.write_bytes(b"\xff\xfe" + BASE.encode())
+        assert main(["run", str(cfg)]) == 2
+        out = tmp_path / "o"
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        record = json.loads((out / "error.json").read_text())
+        assert record["error"] == "UnicodeDecodeError"
+        assert record["exit_code"] == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", [key for key, _, kind, _ in config._KEYS
+                                     if kind is float])
+    def test_non_finite_number_exit_code_and_record(self, tmp_path, key, value):
+        # nan passed every `x < 0` check: tolerance.cluster = nan merged all
+        # levels into one group and the run exited 0 with wrong currents
+        lines = [l for l in BASE.splitlines() if not l.startswith(key + " ")]
+        text = "\n".join(lines + [f"{key} = {value}", "mode = steady",
+                                   "variant = redfield", ""])
+        out = tmp_path / "o"
+        assert main(["run", str(write_config(tmp_path, text)), "--out", str(out)]) == 2
+        record = json.loads((out / "error.json").read_text())
+        assert record["error"] == "ConfigError" and record["exit_code"] == 2
+        assert key in record["message"] and "finite" in record["message"]
+        assert not (out / "steady.json").exists()
+
+    def test_infinite_time_is_refused_before_sampling(self, tmp_path):
+        # t_max = inf used to give a nan grid and unwritten samples in mcwf.csv
+        text = BASE.replace("time.t_max = 40.0", "time.t_max = inf")
+        cfg = write_config(tmp_path, text + "mode = mcwf\nvariant = weak_coupling\n")
+        out = tmp_path / "o"
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        record = json.loads((out / "error.json").read_text())
+        assert record["exit_code"] == 2 and "time.t_max" in record["message"]
+        assert not (out / "mcwf.csv").exists()
 
     def test_solver_failure_exit_code_and_record(self, tmp_path):
         # decoupled baths leave a degenerate stationary manifold

@@ -87,6 +87,11 @@ class TestParse:
         with pytest.raises(ConfigError, match="gibbs"):
             parse_config("chain.n = 3\ninitial_state = gibbs:x\n")
 
+    @pytest.mark.parametrize("beta", ["nan", "inf", "0", "-1"])
+    def test_gibbs_beta_must_be_positive_and_finite(self, beta):
+        with pytest.raises(ConfigError, match="gibbs beta must be positive"):
+            parse_config(f"chain.n = 3\ninitial_state = gibbs:{beta}\n")
+
     def test_unknown_initial_state(self):
         with pytest.raises(ConfigError, match="initial_state"):
             parse_config("chain.n = 3\ninitial_state = thermal\n")

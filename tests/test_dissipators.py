@@ -6,7 +6,7 @@ import scipy.linalg
 
 from spinflux import dissipators, operators
 from spinflux.bath import BathSpec, rate
-from spinflux.chain import ChainSpec
+from spinflux.chain import ChainSpec, build_coupling_operator
 from spinflux.dissipators import (Generator, LindbladTerms, VariantError,
                                   bohr_decompose, gamma_matrix,
                                   gamma_remainder_factor,
@@ -86,9 +86,11 @@ class TestBohrDecompose:
                 assert np.abs(op).max() > 1e-14
 
     @pytest.mark.parametrize("variant", ["redfield", "secular"])
-    def test_rejects_negative_cluster_tol(self, variant):
+    @pytest.mark.parametrize("tol", [-1e-9, math.nan])
+    def test_rejects_negative_cluster_tol(self, variant, tol):
+        # a nan tolerance used to merge every level into one group
         with pytest.raises(ValueError, match="cluster_tol"):
-            Generator(variant, FIG_CHAIN, LEFT, RIGHT, cluster_tol=-1e-9)
+            Generator(variant, FIG_CHAIN, LEFT, RIGHT, cluster_tol=tol)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="hermitian"):
@@ -466,6 +468,26 @@ class TestGeneratorSpec:
         gen.eigensystem
         gen.eigensystem
         assert len(seen) == 1 and seen[0] is gen.hamiltonian
+
+    @pytest.mark.parametrize("variant,calls", [("weak_coupling", 0), ("local_diag", 0),
+                                               ("redfield", 2), ("secular", 2)])
+    def test_contacts_built_only_when_read(self, variant, calls, monkeypatch):
+        import spinflux.dissipators as dissipators
+        seen = []
+
+        def counting(chain, side):
+            seen.append(side)
+            return build_coupling_operator(chain, side)
+
+        monkeypatch.setattr(dissipators, "build_coupling_operator", counting)
+        gen = make_generator(variant)
+        if gen.is_lindblad:
+            gen.lindblad_terms()
+        assemble(gen)
+        assert len(seen) == calls
+        gen.coupling_operators
+        gen.coupling_operators
+        assert seen == ["left", "right"]
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError, match="unknown variant"):

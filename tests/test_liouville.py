@@ -377,6 +377,14 @@ class TestPropagate:
         with pytest.raises(ValueError, match="increasing"):
             propagate(s, maximally_mixed(8), np.array([1.0, 0.5]))
 
+    @pytest.mark.parametrize("times", [[0.0, math.nan], [math.nan], [0.0, math.inf],
+                                       [0.0, 1.0, math.inf]])
+    def test_rejects_non_finite_grid(self, times):
+        # a nan difference is not <= 0, so such a grid used to reach expm_multiply
+        s = assemble(make_generator("weak_coupling"))
+        with pytest.raises(ValueError, match="finite"):
+            propagate(s, maximally_mixed(8), np.array(times))
+
     def test_jordan_block_matches_closed_form(self):
         # populations at rest; the coherence rho_01 = x + iy under the Jordan
         # block dx/dt = -x + y, dy/dt = -y, written on vec(rho):

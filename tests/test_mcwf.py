@@ -124,6 +124,13 @@ class TestTrajectory:
             evolve_trajectory(foreign, damping_terms(rate=1.0), EXCITED,
                               np.array([0.0, 1.0]), seed=1)
 
+    @pytest.mark.parametrize("times", [[0.0, np.nan], [np.nan], [0.0, np.inf]])
+    def test_rejects_non_finite_grid(self, times):
+        terms = damping_terms()
+        h_eff = effective_hamiltonian(two_level_field(), terms)
+        with pytest.raises(ValueError, match="finite"):
+            evolve_trajectory(h_eff, terms, EXCITED, np.array(times), seed=1)
+
     def test_rejects_unnormalized_state(self):
         terms = damping_terms()
         h_eff = effective_hamiltonian(two_level_field(), terms)
@@ -363,6 +370,13 @@ class TestEnsemble:
         want = 0.25 - 0.75
         dev = abs(res.means["sz"][0] - want)
         assert dev <= 3.0 * res.standard_errors["sz"][0] + 1e-12
+
+    @pytest.mark.parametrize("times", [[0.0, np.nan], [np.nan], [0.0, np.inf]])
+    def test_rejects_non_finite_grid(self, times):
+        # such a grid used to pass the check and leave unwritten samples
+        with pytest.raises(ValueError, match="finite"):
+            run_ensemble(damping_terms(), EXCITED, np.array(times),
+                         {"sz": pauli("z")}, realizations=2, master_seed=1)
 
     def test_requires_at_least_one_realization(self):
         with pytest.raises(ValueError, match="realization"):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from spinflux.bath import BathSpec
 from spinflux.chain import ChainSpec, build_hamiltonian
-from spinflux.dissipators import Generator
+from spinflux.dissipators import VARIANTS, Generator
 from spinflux.liouville import assemble, steady_state
 from spinflux.observables import (bond_currents, diagonality_defect,
                                   gibbs_state, local_energies,
@@ -122,16 +123,24 @@ class TestGibbsState:
 
 
 class TestTransportReport:
-    def test_fields_are_consistent(self):
-        gen = Generator("weak_coupling", FIG_CHAIN, LEFT, RIGHT)
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_fields_are_consistent(self, variant):
+        gen = Generator(variant, FIG_CHAIN, LEFT, RIGHT)
         rep = steady_state(assemble(gen))
-        summary = transport_report(rep.state, FIG_CHAIN, "weak_coupling")
-        assert summary.currents.shape == (2,)
-        assert summary.energies.shape == (3,)
-        assert np.array_equal(summary.currents, rep.currents)
-        assert np.array_equal(summary.energies, rep.energies)
-        assert summary.positivity_floor >= -1e-10
-        assert summary.variant == "weak_coupling"
+        row = transport_report(rep, gen.eigensystem)
+        assert list(row) == ["variant", "currents", "local_energies", "residual",
+                             "null_space_dim", "min_eigenvalue",
+                             "diagonality_defect"]
+        assert row["variant"] == variant
+        assert row["currents"] == bond_currents(rep.state, FIG_CHAIN).tolist()
+        assert row["local_energies"] == local_energies(rep.state, FIG_CHAIN).tolist()
+        assert all(type(x) is float for x in row["currents"] + row["local_energies"])
+        assert row["residual"] == rep.residual
+        assert row["null_space_dim"] == 1
+        assert row["min_eigenvalue"] == np.linalg.eigvalsh(rep.state.matrix).min()
+        assert row["diagonality_defect"] == diagonality_defect(rep.state,
+                                                               gen.eigensystem)
+        assert json.loads(json.dumps(row)) == row
 
     def test_energies_track_temperature_gradient(self):
         # hotter left site sits higher in local energy than the cold right site
