@@ -35,8 +35,8 @@ class BathSpec:
         if not 0 < self.beta < math.inf:
             raise ValueError(f"inverse temperature must be positive and finite, "
                              f"got {self.beta}")
-        if not self.coupling >= 0:
-            raise ValueError(f"bath coupling must be >= 0, got {self.coupling}")
+        if not 0 <= self.coupling < math.inf:
+            raise ValueError(f"bath coupling must be >= 0 and finite, got {self.coupling}")
         if self.side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', got {self.side!r}")
 

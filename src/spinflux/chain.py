@@ -43,10 +43,10 @@ class ChainSpec:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError(f"chain needs at least 2 sites, got n={self.n}")
-        if not self.field > 0:
-            raise ValueError(f"local field must be positive, got {self.field}")
-        if not self.exchange >= 0:
-            raise ValueError(f"exchange coupling must be >= 0, got {self.exchange}")
+        if not 0 < self.field < np.inf:
+            raise ValueError(f"local field must be positive and finite, got {self.field}")
+        if not 0 <= self.exchange < np.inf:
+            raise ValueError(f"exchange must be finite and >= 0, got {self.exchange}")
         if self.exchange > WEAK_EXCHANGE_RATIO * self.field:
             warnings.warn(
                 f"exchange/field = {self.exchange / self.field:.3g} exceeds "

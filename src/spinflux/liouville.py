@@ -18,11 +18,11 @@ picture of Alicki & Lendi, Quantum Dynamical Semigroups and Applications,
 LNP 286 (1987)).  The solvers read only that map, ``Superoperator.real``,
 in the real coordinates of ``_hermitian_basis``: ``steady_state`` factorizes
 the trace-bordered real matrix once with a sparse LU, and ``propagate``
-calls ``expm_multiply`` on real vectors once per run of equally spaced grid
-points and per connected component of the real matrix's non-zero pattern
-that the initial state occupies (the CLI's start states fill one of two at
-n=5).  Every state they return is mapped back as ``unvec(U r)`` with ``r``
-real, and so is Hermitian by construction.  The LU's fill caps chains at
+calls ``expm_multiply`` on real vectors over the whole grid once per
+connected component of the real matrix's non-zero pattern that the initial
+state occupies (the CLI's start states fill one of two at n=5).  Every state
+they return is mapped back as ``unvec(U r)`` with ``r`` real, and so is
+Hermitian by construction.  The LU's fill caps chains at
 ``MAX_SITES``; longer ones need the trajectory sampler.
 """
 
@@ -39,7 +39,7 @@ import scipy.sparse.linalg
 from .dissipators import Generator
 from .observables import bond_currents, local_energies
 from .operators import (HERMITICITY_RTOL, DimensionError, Operator,
-                        connected_blocks, stack_rows, time_grid)
+                        connected_blocks, require_memory, stack_rows, time_grid)
 
 logger = logging.getLogger(__name__)
 
@@ -47,7 +47,12 @@ MAX_SITES = 6
 NULLSPACE_TOL = 1e-10
 INVERSE_ITERATIONS = 4
 TRACE_DRIFT_TOL = 1e-10
-GRID_SPACING_RTOL = 1e-10
+# propagate's bytes per grid point: per Liouville-space entry, at the traced
+# peak, the real coordinates, SciPy's C-ordered and complex copies of them
+# and their product with U (8 + 8 + 16 + 16); per state, the Python objects
+# of the returned Operator, whose 16 bytes per entry replace the copies
+PROPAGATE_BYTES_PER_ENTRY = 48
+PROPAGATE_BYTES_PER_STATE = 256
 
 
 class SolverError(RuntimeError):
@@ -276,16 +281,14 @@ def propagate(s: Superoperator, rho0: Operator, times: np.ndarray) -> list[Opera
     under ``exp(R t)``, ``R = s.real``.  That flow is block diagonal on the
     connected components of ``R``'s non-zero pattern, so only the components
     on which ``r`` is non-zero are propagated, each with its own submatrix;
-    every other entry stays exactly 0.  The grid, with t = 0 in front when
-    it starts later, is split into maximal runs of equally spaced points;
-    each run is one ``expm_multiply`` call per component (Al-Mohy & Higham,
-    SIAM J. Sci. Comput. 33, 488 (2011)) from the last state of the run
-    before.  Trace drift beyond TRACE_DRIFT_TOL at any output time is an
-    error, never a silent renormalization.
+    every other entry stays exactly 0.  The grid is ``linspace(0, t_max,
+    N)`` (``operators.time_grid``), so a component takes one ``expm_multiply``
+    call (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)).  States that
+    would not fit in memory raise ``DimensionError`` before allocation.
+    Trace drift beyond TRACE_DRIFT_TOL at any output time is an error, never
+    a silent renormalization.
     """
     times = time_grid(times)
-    if times[0] < 0:
-        raise ValueError("times must be non-negative")
     if rho0.dim != s.dim:
         raise DimensionError(f"initial state dim {rho0.dim} != generator dim {s.dim}")
     if abs(np.trace(rho0.matrix) - 1.0) > 1e-10:
@@ -293,51 +296,35 @@ def propagate(s: Superoperator, rho0: Operator, times: np.ndarray) -> list[Opera
     if not rho0.hermitian:
         raise ValueError("initial state must be flagged hermitian")
 
-    grid = times if times[0] == 0 else np.concatenate(([0.0], times))
-    runs = _uniform_runs(grid)
+    require_memory(len(times) * (PROPAGATE_BYTES_PER_ENTRY * s.dim ** 2
+                                 + PROPAGATE_BYTES_PER_STATE),
+                   f"propagating {len(times)} states of dimension {s.dim}")
     real = s.real
     u = _hermitian_basis(s.dim)
-    vecs = np.zeros((len(grid), s.dim ** 2))
+    vecs = np.zeros((len(times), s.dim ** 2))
     vecs[0] = (u.conj().T @ vectorize(rho0.matrix)).real
     occupied = [idx for idx in connected_blocks(real) if vecs[0, idx].any()]
     # expm_multiply estimates norms of matrix powers with random probe
     # vectors from numpy's global generator; a fixed seed, restored after,
-    # keeps the output bits independent of the caller's random state
+    # keeps the output bits independent of the caller's random state;
+    # the grid [0.0] needs no call
     rng_state = np.random.get_state()
     np.random.seed(0)
     try:
-        for idx in occupied:
-            block = real[idx][:, idx]
-            for first, last in runs:
-                vecs[first + 1:last + 1, idx] = scipy.sparse.linalg.expm_multiply(
-                    block, vecs[first, idx], start=0.0, stop=grid[last] - grid[first],
-                    num=last - first + 1, endpoint=True)[1:]
+        for idx in occupied if len(times) > 1 else ():
+            vecs[1:, idx] = scipy.sparse.linalg.expm_multiply(
+                real[idx][:, idx], vecs[0, idx], start=0.0, stop=times[-1],
+                num=len(times), endpoint=True)[1:]
     finally:
         np.random.set_state(rng_state)
-    vecs = vecs[len(grid) - len(times):]
     drifts = np.abs(vecs[:, np.arange(s.dim) * (s.dim + 1)].sum(axis=1) - 1.0)
     if drifts.max() > TRACE_DRIFT_TOL:
         bad = np.argmax(drifts > TRACE_DRIFT_TOL)
         raise SolverError(f"trace drift {drifts[bad]:.3e} at t={times[bad]} "
                           f"exceeds {TRACE_DRIFT_TOL}")
-    logger.info("propagation: %d expm_multiply run(s) over %d points on %d "
-                "occupied component(s), %d of %d entries, worst trace drift "
-                "%.3e", len(runs), len(times), len(occupied),
-                sum(map(len, occupied)), s.dim ** 2, drifts.max())
+    logger.info("propagation: expm_multiply over %d points on %d occupied "
+                "component(s), %d of %d entries, worst trace drift %.3e",
+                len(times), len(occupied), sum(map(len, occupied)), s.dim ** 2,
+                drifts.max())
     return [Operator(unvectorize(v, s.dim), hermitian=True) for v in (u @ vecs.T).T]
 
-
-def _uniform_runs(grid: np.ndarray) -> list[tuple[int, int]]:
-    """Index pairs ``(first, last)`` of maximal runs of equally spaced grid
-    points (to ``GRID_SPACING_RTOL``); consecutive runs share an end point."""
-    runs = []
-    first = 0
-    while first < len(grid) - 1:
-        step = grid[first + 1] - grid[first]
-        last = first + 1
-        while (last + 1 < len(grid) and abs(grid[last + 1] - grid[last] - step)
-               <= GRID_SPACING_RTOL * step):
-            last += 1
-        runs.append((first, last))
-        first = last
-    return runs

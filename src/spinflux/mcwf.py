@@ -134,7 +134,8 @@ def effective_hamiltonian(h: Operator, terms: LindbladTerms) -> Operator:
 
 
 class _BatchKernel:
-    """Event-driven propagation for one (jump terms, grid) pair.
+    """Event-driven propagation for one (jump terms, grid) pair, from t = 0
+    along ``linspace(0, t_max, N)`` (``operators.time_grid``).
 
     States are held in coordinates ``x`` with amplitudes ``psi = V x``:
     eigen-coordinates on diagonalizable blocks of H_eff, and plain amplitudes
@@ -187,7 +188,7 @@ class _BatchKernel:
         """
         thresholds = np.array([rng.random() for rng in rngs])
         x = self.v_inv @ psi0
-        start = np.full(x.shape[1], self.times[0])
+        start = np.zeros(x.shape[1])
         first = np.zeros(x.shape[1], dtype=int)  # first grid index not sampled
         active = np.arange(x.shape[1])
         while active.size:
@@ -383,7 +384,8 @@ def run_ensemble(terms: LindbladTerms, initial, times: np.ndarray,
     """Seeded trajectory ensemble with deterministic, order-fixed reduction.
 
     ``initial`` is either a normalized state vector or a density-matrix
-    Operator.  ``workers`` > 1 fans fixed-size batches out to processes; it
+    Operator at t = 0, the first point of ``times``, ``linspace(0, t_max,
+    N)``.  ``workers`` > 1 fans fixed-size batches out to processes; it
     defaults to the SPINFLUX_WORKERS environment variable (or 1) and never
     changes the result bits.  One kernel serves every batch.
     """

@@ -26,6 +26,8 @@ MAX_DENSE_DIM = 4096
 
 HERMITICITY_RTOL = 1e-12
 
+GRID_SPACING_RTOL = 1e-10
+
 MEMINFO = "/proc/meminfo"
 
 
@@ -80,6 +82,8 @@ class Operator:
         m = _as_matrix(self.matrix)
         if self.hermitian:
             scale = np.abs(m).max()
+            if not np.isfinite(scale):  # a nan defect passes the test below
+                raise ValueError("operator flagged hermitian has a non-finite entry")
             defect = np.abs(m - m.conj().T).max()
             if defect > HERMITICITY_RTOL * max(scale, 1e-300):
                 raise ValueError(
@@ -186,12 +190,17 @@ def stack_rows(mats, size: int) -> scipy.sparse.csr_array:
 
 
 def time_grid(times) -> np.ndarray:
-    """``times`` as a float array, which must be a non-empty, finite and
-    strictly increasing one-dimensional grid."""
+    """``times`` as a float array, which must be ``linspace(0, t_max, N)``,
+    N >= 1: finite, strictly increasing, from exactly 0, and within
+    ``GRID_SPACING_RTOL * t_max`` of that linspace at every point (relative
+    to the span: linspace's own steps differ by 1e-10 of a step at 10**6)."""
     times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or len(times) == 0 or not (
-            np.isfinite(times).all() and (np.diff(times) > 0).all()):
-        raise ValueError("times must be a non-empty, finite, strictly increasing grid")
+    if not (times.ndim == 1 and len(times) and np.isfinite(times).all()
+            and times[0] == 0.0 and (np.diff(times) > 0).all()
+            and np.abs(times - np.linspace(0.0, times[-1], len(times))).max()
+            <= GRID_SPACING_RTOL * times[-1]):
+        raise ValueError("times must be a non-empty, finite, strictly increasing "
+                         "grid of equal steps from 0, linspace(0, t_max, N)")
     return times
 
 

@@ -28,8 +28,9 @@ class TestSpec:
             make_bath(beta=beta)
 
     def test_rejects_nan_coupling(self):
-        with pytest.raises(ValueError, match="coupling"):
-            make_bath(coupling=math.nan)
+        for coupling in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="coupling"):
+                make_bath(coupling=coupling)
 
 
 class TestPlanck:

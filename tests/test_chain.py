@@ -47,7 +47,8 @@ class TestSpec:
         with pytest.raises(ValueError, match="field"):
             ChainSpec(n=2, field=0.0, exchange=0.0)
 
-    @pytest.mark.parametrize("field,exchange", [(math.nan, 0.0), (1.0, math.nan)])
+    @pytest.mark.parametrize("field,exchange", [(math.nan, 0.0), (1.0, math.nan),
+                                                (math.inf, 0.0), (1.0, math.inf)])
     def test_rejects_nan(self, field, exchange):
         with pytest.raises(ValueError, match="field|exchange"):
             ChainSpec(n=2, field=field, exchange=exchange)

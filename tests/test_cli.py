@@ -274,6 +274,18 @@ class TestFailureModes:
         assert record["exit_code"] == 3
         assert not (out / "mcwf.csv").exists()
 
+    def test_evolve_memory_preflight_exit_code_and_record(self, tmp_path, monkeypatch):
+        # 9 states at n = 3: 9 * (48 bytes * 64 entries + 256 bytes) = 29952
+        monkeypatch.setattr(operators, "available_memory", lambda: 29951)
+        cfg = write_config(tmp_path, BASE + "mode = evolve\nvariant = weak_coupling\n")
+        out = tmp_path / "o"
+        assert main(["run", str(cfg), "--out", str(out)]) == 3
+        record = json.loads((out / "error.json").read_text())
+        assert record["error"] == "DimensionError"
+        assert "propagating 9 states" in record["message"]
+        assert record["exit_code"] == 3
+        assert not (out / "series.csv").exists()
+
     def test_bohr_memory_preflight_exit_code_and_record(self, tmp_path, monkeypatch):
         # 64 positive Bohr-frequency groups at n = 4: (2*64 + 1) * 16 * 16**2
         # = 528384 bytes per bath

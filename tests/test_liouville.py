@@ -12,6 +12,7 @@ import scipy.linalg
 import scipy.sparse
 
 import spinflux
+from spinflux import liouville, operators
 from spinflux.bath import BathSpec
 from spinflux.chain import ChainSpec
 from spinflux.dissipators import Generator
@@ -234,7 +235,7 @@ class TestRealForm:
         starts = (maximally_mixed(d), Operator(m / np.trace(m), hermitian=True))
         states = [steady_state(s).state]
         for rho0 in starts:
-            states += propagate(s, rho0, np.array([0.0, 0.7, 1.4, 30.0, 400.0]))
+            states += propagate(s, rho0, np.linspace(0.0, 400.0, 201))
         for state in states:
             assert np.array_equal(state.matrix, state.matrix.conj().T)
 
@@ -334,9 +335,9 @@ class TestPropagate:
         ev = np.linalg.eigvals(s.matrix)
         slowest = np.max(ev.real[ev.real < -1e-12])
         t_end = 25.0 / abs(slowest)
-        out = propagate(s, maximally_mixed(8), np.array([t_end]))
+        out = propagate(s, maximally_mixed(8), np.array([0.0, t_end]))
         rep = steady_state(s)
-        assert np.abs(out[0].matrix - rep.state.matrix).max() <= 1e-8
+        assert np.abs(out[-1].matrix - rep.state.matrix).max() <= 1e-8
 
     def test_closed_system_projector_constant(self):
         left = BathSpec(beta=0.41, coupling=0.0, side="left")
@@ -394,7 +395,7 @@ class TestPropagate:
         m[1, 1], m[1, 2] = -1.0 + 0.5j, -0.5j
         s = Superoperator(sparse=scipy.sparse.csr_array(m), dim=2, generator=None)
         rho0 = Operator(np.array([[0.5, 0.2 + 0.1j], [0.2 - 0.1j, 0.5]]), hermitian=True)
-        times = np.array([0.0, 0.5, 1.0, 3.0, 10.0])
+        times = np.linspace(0.0, 10.0, 21)
         for t, state in zip(times, propagate(s, rho0, times)):
             rho01 = (0.2 + 0.1 * t + 0.1j) * math.exp(-t)
             want = np.array([[0.5, rho01], [np.conj(rho01), 0.5]])
@@ -412,27 +413,14 @@ class TestPropagate:
         with pytest.raises(SolverError, match="does not preserve Hermiticity"):
             steady_state(s)
 
-    def test_nonuniform_grid_matches_dense_expm(self):
-        s = assemble(make_generator("redfield"))
-        rng = np.random.default_rng(5)
-        m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-        m = m @ m.conj().T
-        rho0 = Operator(m / np.trace(m), hermitian=True)
-        times = np.array([0.3, 0.6, 0.9, 5.0, 40.0, 41.0, 42.0, 100.0])
-        for t, state in zip(times, propagate(s, rho0, times)):
-            want = unvectorize(scipy.linalg.expm(s.matrix * t) @ vectorize(rho0.matrix), 8)
-            assert np.abs(state.matrix - want).max() <= 1e-10
-
     def test_logs_runs_and_trace_drift(self, caplog):
         s = assemble(make_generator("weak_coupling"))
         with caplog.at_level(logging.INFO, logger="spinflux.liouville"):
             propagate(s, maximally_mixed(8), np.linspace(0.0, 400.0, 201))
-            propagate(s, maximally_mixed(8), np.array([0.0, 1.0, 2.0, 4.0, 6.0, 7.0]))
         records = [r for r in caplog.records if "expm_multiply" in r.getMessage()]
-        assert [r.levelno for r in records] == [logging.INFO] * 2
-        assert "1 expm_multiply run(s) over 201 points" in records[0].getMessage()
-        assert "3 expm_multiply run(s) over 6 points" in records[1].getMessage()
-        assert all("worst trace drift" in r.getMessage() for r in records)
+        assert [r.levelno for r in records] == [logging.INFO]
+        assert "expm_multiply over 201 points" in records[0].getMessage()
+        assert "worst trace drift" in records[0].getMessage()
 
     @pytest.mark.parametrize("variant", ALL_VARIANTS)
     def test_occupied_components_match_dense_expm(self, variant):
@@ -442,8 +430,9 @@ class TestPropagate:
         starts = (maximally_mixed(16),
                   Operator(np.outer(ground, ground.conj()), hermitian=True),
                   gibbs_state(gen.hamiltonian, 1.0))
-        times = np.array([0.0, 10.0, 20.0, 30.0, 150.0, 400.0])
-        flows = [scipy.linalg.expm(s.matrix * t) for t in times]
+        times = np.linspace(0.0, 400.0, 41)
+        # t = 0, 10, 20, 30, 150 and 400
+        flows = {k: scipy.linalg.expm(s.matrix * times[k]) for k in (0, 1, 2, 3, 15, 40)}
         blocks = connected_blocks(s.sparse)
         for rho0 in starts:
             v0 = vectorize(rho0.matrix)
@@ -452,11 +441,12 @@ class TestPropagate:
                 if v0[idx].any():
                     outside[idx] = False
             assert outside.any()  # no start the CLI offers fills every component
-            for flow, state in zip(flows, propagate(s, rho0, times)):
+            states = propagate(s, rho0, times)
+            for k, flow in flows.items():
                 want = flow @ v0
-                got = vectorize(state.matrix)
+                got = vectorize(states[k].matrix)
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-                assert not got[outside].any()
+            assert not any(vectorize(state.matrix)[outside].any() for state in states)
 
     def test_full_support_start_propagates_every_component(self):
         s = assemble(make_generator("secular"))
@@ -466,10 +456,42 @@ class TestPropagate:
         m = m @ m.conj().T
         rho0 = Operator(m / np.trace(m), hermitian=True)
         assert np.all(rho0.matrix != 0)
-        times = np.array([0.5, 1.0, 1.5, 7.0, 60.0, 61.0, 62.0, 300.0])
-        for t, state in zip(times, propagate(s, rho0, times)):
-            want = unvectorize(scipy.linalg.expm(s.matrix * t) @ vectorize(rho0.matrix), 8)
-            assert np.abs(state.matrix - want).max() <= 1e-10
+        times = np.linspace(0.0, 300.0, 601)
+        states = propagate(s, rho0, times)
+        # t = 0.5, 1, 1.5, 7, 60, 61, 62 and 300
+        for k in (1, 2, 3, 14, 120, 122, 124, 600):
+            want = unvectorize(scipy.linalg.expm(s.matrix * times[k])
+                               @ vectorize(rho0.matrix), 8)
+            assert np.abs(states[k].matrix - want).max() <= 1e-10
+
+    @pytest.mark.parametrize("n,points", [(3, 201), (5, 2001)])
+    def test_memory_preflight_covers_traced_peak(self, monkeypatch, n, points):
+        s = assemble(make_generator("weak_coupling",
+                                    chain=ChainSpec(n=n, field=1.0, exchange=0.01)))
+        s.real  # formed before the trace, as by any earlier solve
+        required = []
+        monkeypatch.setattr(liouville, "require_memory",
+                            lambda nbytes, what: required.append(nbytes))
+        tracemalloc.start()
+        try:
+            states = propagate(s, maximally_mixed(s.dim), np.linspace(0.0, 400.0, points))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        del states
+        assert peak <= required[0]
+
+    def test_memory_preflight_refuses_before_allocating(self, monkeypatch):
+        # 9 points * (48 bytes * 64 entries + 256 bytes) = 29952 bytes at n=3
+        s = assemble(make_generator("weak_coupling"))
+        monkeypatch.setattr(operators, "available_memory", lambda: 29951)
+        monkeypatch.setattr(liouville, "connected_blocks",
+                            lambda m: pytest.fail("allocated past the preflight"))
+        with pytest.raises(DimensionError, match="memory available"):
+            propagate(s, maximally_mixed(8), np.linspace(0.0, 40.0, 9))
+        monkeypatch.undo()
+        monkeypatch.setattr(operators, "available_memory", lambda: 29952)
+        assert len(propagate(s, maximally_mixed(8), np.linspace(0.0, 40.0, 9))) == 9
 
     def test_logs_occupied_components(self, caplog):
         s = assemble(make_generator("weak_coupling",

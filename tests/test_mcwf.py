@@ -11,7 +11,7 @@ from spinflux import mcwf, operators
 from spinflux.bath import BathSpec
 from spinflux.chain import ChainSpec
 from spinflux.dissipators import Generator, LindbladTerms
-from spinflux.liouville import Superoperator, propagate
+from spinflux.liouville import Superoperator, assemble, propagate
 from spinflux.mcwf import (Trajectory, _BatchKernel, _rng_for,
                            effective_hamiltonian, evolve_trajectory,
                            run_ensemble, split_seed)
@@ -479,3 +479,28 @@ class TestEnsemble:
         b = run_ensemble(terms, EXCITED, grid, {"sz": pauli("z")}, **kw)
         assert np.array_equal(a.means["sz"], b.means["sz"])
         assert a.provenance["seed_scheme"] == "philox128(master<<64|index)"
+
+
+class TestOneGrid:
+    @pytest.mark.parametrize("times", [[1.0, 2.0], [0.0, 1.0, 3.0], [-1.0, 0.0, 1.0]],
+                             ids=["late", "unequal", "negative"])
+    def test_every_method_refuses(self, times):
+        # the trajectory kernel's clock starts at 0, so on a late grid the
+        # ensemble would report its values at times - times[0]
+        gen = Generator("weak_coupling", FIG_CHAIN, LEFT, RIGHT)
+        terms = gen.lindblad_terms()
+        rho0 = Operator(np.eye(8, dtype=complex) / 8, hermitian=True)
+        grid = np.array(times)
+        calls = [
+            lambda: propagate(assemble(gen), rho0, grid),
+            lambda: run_ensemble(terms, rho0, grid, {"j": reported_current_operator(
+                FIG_CHAIN, 1)}, realizations=1, master_seed=1),
+            lambda: evolve_trajectory(Operator(terms.effective_hamiltonian()), terms,
+                                      np.eye(8, dtype=complex)[1], grid, seed=1),
+        ]
+        errors = []
+        for call in calls:
+            with pytest.raises(ValueError, match="equal steps from 0") as err:
+                call()
+            errors.append((type(err.value), str(err.value)))
+        assert errors == [(ValueError, errors[0][1])] * 3

@@ -5,7 +5,7 @@ from spinflux import operators
 from spinflux.chain import ChainSpec, build_hamiltonian
 from spinflux.operators import (PAULI, DimensionError, Operator, _fix_phases,
                                 _stable_order, available_memory, eig_hermitian,
-                                embedded_sum, pauli, require_memory)
+                                embedded_sum, pauli, require_memory, time_grid)
 
 
 def random_complex(rng, d):
@@ -76,6 +76,20 @@ class TestHermitianFlag:
         op = pauli("z")
         with pytest.raises(ValueError):
             op.matrix[0, 0] = 5.0
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_non_finite_entry_refused(self, entry):
+        # a nan defect (inf - inf is one) compares false with any bound
+        with pytest.raises(ValueError, match="non-finite"):
+            Operator(np.array([[entry, 0.0], [0.0, 1.0]]), hermitian=True)
+
+
+class TestTimeGrid:
+    @pytest.mark.parametrize("t_max", [400.0, 1e4])
+    def test_accepts_a_million_linspace_steps(self, t_max):
+        # linspace's own steps differ by about 1e-10 of a step here
+        times = np.linspace(0.0, t_max, 10 ** 6 + 1)
+        assert np.array_equal(time_grid(times), times)
 
 
 class TestAvailableMemory:
