@@ -17,11 +17,11 @@ from .dissipators import (Generator, LindbladTerms, VariantError, bohr_decompose
                           gamma_matrix, gamma_remainder_factor, split_gamma)
 from .liouville import (DegenerateSteadyStateError, SolverError,
                         SteadyStateReport, Superoperator, apply, assemble,
-                        propagate, steady_state)
+                        coordinates, propagate, steady_state)
 from .mcwf import (NormCollapseError, Trajectory, TrajectoryEnsembleResult,
                    effective_hamiltonian, evolve_trajectory, run_ensemble,
                    split_seed)
-from .observables import (bond_currents, diagonality_defect, expectation_series,
-                          gibbs_state, local_energies, reported_current_operator,
+from .observables import (bond_currents, diagonality_defect, gibbs_state,
+                          local_energies, reported_current_operator,
                           trace_distance, transport_report)
 from .operators import DimensionError, EigenSystem, Operator, eig_hermitian, pauli

@@ -37,11 +37,10 @@ from .config import (MODES, ConfigError, RunConfig, config_hash, parse_config,
                      with_overrides)
 from .chain import build_hamiltonian, build_local_hamiltonian_site
 from .dissipators import VARIANTS, Generator, VariantError
-from .liouville import (SolverError, Superoperator, assemble, propagate,
-                        steady_state)
+from .liouville import (SolverError, Superoperator, assemble, coordinates,
+                        propagate, steady_state)
 from .mcwf import NormCollapseError, check_memory, run_ensemble
-from .observables import (expectation_series, gibbs_state,
-                          reported_current_operator, transport_report)
+from .observables import gibbs_state, reported_current_operator, transport_report
 from .operators import DimensionError, Operator, eig_hermitian
 
 logger = logging.getLogger(__name__)
@@ -144,10 +143,10 @@ def run(config: RunConfig) -> None:
 
     if config.mode == "evolve":
         observables = _observables(config)
-        states = propagate(assemble(_generator(config)), rho0, times)
+        functionals = np.stack([coordinates(op) for op in observables.values()], axis=1)
+        series = propagate(assemble(_generator(config)), rho0, times) @ functionals
         columns = {"time": times}
-        columns.update((name, expectation_series(states, op))
-                       for name, op in observables.items())
+        columns.update(zip(observables, series.T))
         _write_csv(out / "series.csv", provenance, columns)
         return
 
@@ -191,8 +190,7 @@ def _exact_payloads(config: RunConfig, gen: Generator, rho0: Operator,
     one assembly; returning drops the sparse Liouvillian, so compare mode
     holds at most one at a time."""
     s = assemble(gen)
-    states = propagate(s, rho0, times)
-    return expectation_series(states, current), _steady_payload(config, s)
+    return propagate(s, rho0, times) @ coordinates(current), _steady_payload(config, s)
 
 
 def _write_error(config: RunConfig | None, out_dir: str | None,

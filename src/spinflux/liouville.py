@@ -20,9 +20,12 @@ in the real coordinates of ``_hermitian_basis``: ``steady_state`` factorizes
 the trace-bordered real matrix once with a sparse LU, and ``propagate``
 calls ``expm_multiply`` on real vectors over the whole grid once per
 connected component of the real matrix's non-zero pattern that the initial
-state occupies (the CLI's start states fill one of two at n=5).  Every state
-they return is mapped back as ``unvec(U r)`` with ``r`` real, and so is
-Hermitian by construction.  The LU's fill caps chains at
+state occupies (the CLI's start states fill one of two at n=5).  The steady
+state is mapped back as ``unvec(U x)`` with ``x`` real, and so is Hermitian
+by construction; ``propagate`` returns the real coordinates themselves.
+``U`` is unitary, so an observable's expectation is a real dot product,
+``tr(rho O) = coordinates(O) @ coordinates(rho)``, and a time series is
+``propagate(...) @ coordinates(O)``.  The LU's fill caps chains at
 ``MAX_SITES``; longer ones need the trajectory sampler.
 """
 
@@ -47,12 +50,14 @@ MAX_SITES = 6
 NULLSPACE_TOL = 1e-10
 INVERSE_ITERATIONS = 4
 TRACE_DRIFT_TOL = 1e-10
-# propagate's bytes per grid point: per Liouville-space entry, at the traced
-# peak, the real coordinates, SciPy's C-ordered and complex copies of them
-# and their product with U (8 + 8 + 16 + 16); per state, the Python objects
-# of the returned Operator, whose 16 bytes per entry replace the copies
-PROPAGATE_BYTES_PER_ENTRY = 48
-PROPAGATE_BYTES_PER_STATE = 256
+# propagate's bytes at its traced peak: per grid point and Liouville-space
+# entry, the returned real coordinates and expm_multiply's output for the
+# occupied component (8 + 8); per non-zero of the Liouvillian and once,
+# expm_multiply's fixed work on the component's real submatrix and its copies;
+# the traced peak was at most 0.82 of the count for the chains at n=3 to 6
+PROPAGATE_BYTES_PER_ENTRY = 16
+PROPAGATE_BYTES_PER_NONZERO = 64
+PROPAGATE_FIXED_BYTES = 2 ** 15
 
 
 class SolverError(RuntimeError):
@@ -273,37 +278,46 @@ def _smallest_singular_value(lu) -> float:
     return 1.0 / np.sqrt(growth)
 
 
-def propagate(s: Superoperator, rho0: Operator, times: np.ndarray) -> list[Operator]:
-    """Evolve rho0 along the time grid: rho(t) = exp(S t) rho0.
+def coordinates(op: Operator) -> np.ndarray:
+    """Real coordinates ``(U^H vec(op)).real`` of an operator flagged
+    Hermitian, in the basis of ``_hermitian_basis``; the imaginary part, the
+    rounding of the verified flag, is dropped.  An operator not flagged
+    Hermitian raises ``ValueError``."""
+    if not op.hermitian:
+        raise ValueError("operator must be flagged hermitian")
+    return (_hermitian_basis(op.dim).conj().T @ vectorize(op.matrix)).real
 
-    The state is carried in real coordinates ``r = U^H vec(rho0)`` (whose
-    imaginary part, rounding of the verified Hermitian flag, is dropped)
-    under ``exp(R t)``, ``R = s.real``.  That flow is block diagonal on the
-    connected components of ``R``'s non-zero pattern, so only the components
-    on which ``r`` is non-zero are propagated, each with its own submatrix;
-    every other entry stays exactly 0.  The grid is ``linspace(0, t_max,
-    N)`` (``operators.time_grid``), so a component takes one ``expm_multiply``
-    call (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)).  States that
-    would not fit in memory raise ``DimensionError`` before allocation.
+
+def propagate(s: Superoperator, rho0: Operator, times: np.ndarray) -> np.ndarray:
+    """Evolve rho0 along the time grid in real coordinates: row k of the
+    returned ``(len(times), d**2)`` array is ``exp(R t_k) coordinates(rho0)``,
+    ``R = s.real``, so ``rho(t_k) = unvec(U r_k)``.
+
+    That flow is block diagonal on the connected components of ``R``'s
+    non-zero pattern, so only the components on which ``coordinates(rho0)``
+    is non-zero are propagated, each with its own submatrix; every other
+    entry stays exactly 0.  The grid is ``linspace(0, t_max, N)``
+    (``operators.time_grid``), so a component takes one ``expm_multiply``
+    call (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)).  A run that
+    would not fit in memory raises ``DimensionError`` before allocation.
     Trace drift beyond TRACE_DRIFT_TOL at any output time is an error, never
     a silent renormalization.
     """
     times = time_grid(times)
     if rho0.dim != s.dim:
         raise DimensionError(f"initial state dim {rho0.dim} != generator dim {s.dim}")
-    if abs(np.trace(rho0.matrix) - 1.0) > 1e-10:
+    diag = np.arange(s.dim) * (s.dim + 1)
+    r0 = coordinates(rho0)
+    if abs(r0[diag].sum() - 1.0) > 1e-10:
         raise ValueError("initial state must have unit trace")
-    if not rho0.hermitian:
-        raise ValueError("initial state must be flagged hermitian")
 
-    require_memory(len(times) * (PROPAGATE_BYTES_PER_ENTRY * s.dim ** 2
-                                 + PROPAGATE_BYTES_PER_STATE),
+    require_memory(len(times) * PROPAGATE_BYTES_PER_ENTRY * s.dim ** 2
+                   + PROPAGATE_BYTES_PER_NONZERO * s.sparse.nnz + PROPAGATE_FIXED_BYTES,
                    f"propagating {len(times)} states of dimension {s.dim}")
     real = s.real
-    u = _hermitian_basis(s.dim)
     vecs = np.zeros((len(times), s.dim ** 2))
-    vecs[0] = (u.conj().T @ vectorize(rho0.matrix)).real
-    occupied = [idx for idx in connected_blocks(real) if vecs[0, idx].any()]
+    vecs[0] = r0
+    occupied = [idx for idx in connected_blocks(real) if r0[idx].any()]
     # expm_multiply estimates norms of matrix powers with random probe
     # vectors from numpy's global generator; a fixed seed, restored after,
     # keeps the output bits independent of the caller's random state;
@@ -313,11 +327,11 @@ def propagate(s: Superoperator, rho0: Operator, times: np.ndarray) -> list[Opera
     try:
         for idx in occupied if len(times) > 1 else ():
             vecs[1:, idx] = scipy.sparse.linalg.expm_multiply(
-                real[idx][:, idx], vecs[0, idx], start=0.0, stop=times[-1],
+                real[idx][:, idx], r0[idx], start=0.0, stop=times[-1],
                 num=len(times), endpoint=True)[1:]
     finally:
         np.random.set_state(rng_state)
-    drifts = np.abs(vecs[:, np.arange(s.dim) * (s.dim + 1)].sum(axis=1) - 1.0)
+    drifts = np.abs(vecs[:, diag].sum(axis=1) - 1.0)
     if drifts.max() > TRACE_DRIFT_TOL:
         bad = np.argmax(drifts > TRACE_DRIFT_TOL)
         raise SolverError(f"trace drift {drifts[bad]:.3e} at t={times[bad]} "
@@ -326,5 +340,4 @@ def propagate(s: Superoperator, rho0: Operator, times: np.ndarray) -> list[Opera
                 "component(s), %d of %d entries, worst trace drift %.3e",
                 len(times), len(occupied), sum(map(len, occupied)), s.dim ** 2,
                 drifts.max())
-    return [Operator(unvectorize(v, s.dim), hermitian=True) for v in (u @ vecs.T).T]
-
+    return vecs

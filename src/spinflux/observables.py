@@ -4,8 +4,6 @@ that ``steady.json`` holds."""
 
 from __future__ import annotations
 
-import logging
-import warnings
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -15,8 +13,6 @@ from .operators import DimensionError, EigenSystem, Operator, eig_hermitian
 
 if TYPE_CHECKING:
     from .liouville import SteadyStateReport
-
-logger = logging.getLogger(__name__)
 
 
 # The raw bond operator i[V(b), H_loc(b)] equals the coherent growth rate of
@@ -31,35 +27,16 @@ def reported_current_operator(spec: ChainSpec, bond: int) -> Operator:
     return build_current_operator(spec, bond, sign=REPORTED_CURRENT_SIGN)
 
 
-def expectation_series(states: list[Operator], obs: Operator) -> np.ndarray:
-    """Expectation value of one observable along a list of states; the
-    imaginary residue is discarded (with a warning if it is not negligible)."""
-    values = np.empty(len(states))
-    worst = 0.0
-    for i, rho in enumerate(states):
-        if rho.dim != obs.dim:
-            raise DimensionError(f"state dim {rho.dim} != observable dim {obs.dim}")
-        z = np.trace(rho.matrix @ obs.matrix)
-        worst = max(worst, abs(z.imag))
-        values[i] = z.real
-    if worst > 1e-10:
-        warnings.warn(f"imaginary residue {worst:.3e} in expectation series "
-                      "exceeds 1e-10", stacklevel=2)
-    else:
-        logger.debug("expectation series imaginary residue %.3e discarded", worst)
-    return values
-
-
 def bond_currents(rho: Operator, spec: ChainSpec) -> np.ndarray:
     """Energy current on each bond in the reporting sign convention."""
-    return np.array([expectation_series([rho], reported_current_operator(spec, b))[0]
+    return np.array([np.trace(rho.matrix @ reported_current_operator(spec, b).matrix).real
                      for b in range(1, spec.n)])
 
 
 def local_energies(rho: Operator, spec: ChainSpec) -> np.ndarray:
     """Local field energy at each site, tr(rho H_loc(site))."""
     return np.array([
-        expectation_series([rho], build_local_hamiltonian_site(spec, site))[0]
+        np.trace(rho.matrix @ build_local_hamiltonian_site(spec, site).matrix).real
         for site in range(1, spec.n + 1)])
 
 

@@ -15,11 +15,11 @@ from spinflux.bath import BathSpec, rate
 from spinflux.chain import ChainSpec
 from spinflux.dissipators import (Generator, gamma_matrix,
                                   gamma_remainder_factor, split_gamma)
-from spinflux.liouville import assemble, propagate, steady_state
+from spinflux.liouville import (_hermitian_basis, assemble, coordinates,
+                                propagate, steady_state, unvectorize)
 from spinflux.mcwf import run_ensemble
-from spinflux.observables import (diagonality_defect, expectation_series,
-                                  gibbs_state, reported_current_operator,
-                                  trace_distance)
+from spinflux.observables import (diagonality_defect, gibbs_state,
+                                  reported_current_operator, trace_distance)
 from spinflux.operators import Operator
 
 FIELD = 1.0
@@ -85,7 +85,7 @@ def test_criterion_3_trajectory_ensemble_tracks_exact_propagation():
     times = np.linspace(0.0, 400.0, 51)
     rho0 = maximally_mixed(8)
     current = reported_current_operator(gen.chain, 1)
-    exact = expectation_series(propagate(assemble(gen), rho0, times), current)
+    exact = propagate(assemble(gen), rho0, times) @ coordinates(current)
     result = run_ensemble(gen.lindblad_terms(), rho0, times,
                           {"current": current}, realizations=10_000,
                           master_seed=MCWF_SEED)
@@ -147,11 +147,12 @@ def test_criterion_6_structural_invariants(tmp_path):
     # trace preservation and positivity along every Lindblad propagation
     times = np.linspace(0.0, 300.0, 31)
     for variant in ("secular", "weak_coupling", "local_diag"):
-        states = propagate(assemble(make_generator(variant)),
-                           maximally_mixed(8), times)
-        for state in states:
-            assert abs(state.trace() - 1.0) <= 1e-10
-            assert np.linalg.eigvalsh(state.matrix).min() >= -1e-10
+        path = propagate(assemble(make_generator(variant)),
+                         maximally_mixed(8), times)
+        for r in path:
+            state = unvectorize(_hermitian_basis(8) @ r, 8)
+            assert abs(np.trace(state) - 1.0) <= 1e-10
+            assert np.linalg.eigvalsh(state).min() >= -1e-10
 
     # detailed balance of the bath rate
     for beta in (HOT, COLD, 1.0):

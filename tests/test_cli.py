@@ -64,6 +64,8 @@ class TestSteadyMode:
         # n=5, where a complex sparse LU used to round with the thread count
         text = BASE.replace("chain.n = 3", "chain.n = 5")
         runs = {"compare": write_config(tmp_path, text + "mode = compare\n", "c.conf"),
+                "evolve": write_config(
+                    tmp_path, text + "mode = evolve\nvariant = redfield\n", "e.conf"),
                 "steady": write_config(
                     tmp_path, text + "mode = steady\nvariant = secular\n", "s.conf")}
         src = str(Path(spinflux.__file__).resolve().parents[1])
@@ -79,7 +81,7 @@ class TestSteadyMode:
         files = sorted(p.relative_to(tmp_path / "1")
                        for p in (tmp_path / "1").rglob("*.*"))
         assert [str(f) for f in files] == ["compare/compare.csv", "compare/steady.json",
-                                           "steady/steady.json"]
+                                           "evolve/series.csv", "steady/steady.json"]
         for f in files:
             assert (tmp_path / "1" / f).read_bytes() == (tmp_path / "2" / f).read_bytes()
 
@@ -275,8 +277,9 @@ class TestFailureModes:
         assert not (out / "mcwf.csv").exists()
 
     def test_evolve_memory_preflight_exit_code_and_record(self, tmp_path, monkeypatch):
-        # 9 states at n = 3: 9 * (48 bytes * 64 entries + 256 bytes) = 29952
-        monkeypatch.setattr(operators, "available_memory", lambda: 29951)
+        # 9 states at n = 3: 9 * 16 bytes * 64 entries + 64 bytes * 320
+        # Liouvillian non-zeros + 32768 bytes = 62464
+        monkeypatch.setattr(operators, "available_memory", lambda: 62463)
         cfg = write_config(tmp_path, BASE + "mode = evolve\nvariant = weak_coupling\n")
         out = tmp_path / "o"
         assert main(["run", str(cfg), "--out", str(out)]) == 3

@@ -18,9 +18,9 @@ from spinflux.chain import ChainSpec
 from spinflux.dissipators import Generator
 from spinflux.liouville import (NULLSPACE_TOL, DegenerateSteadyStateError,
                                 SolverError, Superoperator, _hermitian_basis,
-                                apply, assemble, propagate, steady_state,
-                                unvectorize, vectorize)
-from spinflux.observables import expectation_series, gibbs_state, trace_distance
+                                apply, assemble, coordinates, propagate,
+                                steady_state, unvectorize, vectorize)
+from spinflux.observables import gibbs_state, trace_distance
 from spinflux.operators import DimensionError, Operator, connected_blocks, eig_hermitian
 from spinflux.chain import build_current_operator
 
@@ -32,7 +32,8 @@ LINDBLAD = ("secular", "weak_coupling", "local_diag")
 
 
 # sha256 of every variant's n=5 Liouvillian (its CSR arrays), steady state
-# and 41-point propagation from the maximally mixed state, one line each
+# and 41-point propagation (its real coordinates) from the maximally mixed
+# state, one line each
 LIOUVILLE_DIGESTS = """
 import hashlib
 import numpy as np
@@ -55,8 +56,8 @@ for variant in VARIANTS:
     m = s.sparse
     print(variant, "assemble", digest((m.data, m.indices, m.indptr)))
     print(variant, "steady", digest([steady_state(s).state.matrix]))
-    states = propagate(s, rho0, np.linspace(0.0, 400.0, 41))
-    print(variant, "propagate", digest(state.matrix for state in states))
+    r = propagate(s, rho0, np.linspace(0.0, 400.0, 41))
+    print(variant, "propagate", digest([r]))
 """
 
 
@@ -71,6 +72,12 @@ def random_hermitian(rng, d):
 
 def maximally_mixed(d):
     return Operator(np.eye(d, dtype=complex) / d, hermitian=True)
+
+
+def states(r, d):
+    """The density matrices unvec(U r) of propagate's real coordinates."""
+    u = _hermitian_basis(d)
+    return [unvectorize(u @ x, d) for x in r]
 
 
 class TestAssemble:
@@ -233,11 +240,13 @@ class TestRealForm:
         m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         m = m @ m.conj().T
         starts = (maximally_mixed(d), Operator(m / np.trace(m), hermitian=True))
-        states = [steady_state(s).state]
+        path = [steady_state(s).state.matrix]
         for rho0 in starts:
-            states += propagate(s, rho0, np.linspace(0.0, 400.0, 201))
-        for state in states:
-            assert np.array_equal(state.matrix, state.matrix.conj().T)
+            r = propagate(s, rho0, np.linspace(0.0, 400.0, 201))
+            assert r.dtype == np.float64 and r.shape == (201, d * d)
+            path += states(r, d)
+        for state in path:
+            assert np.array_equal(state, state.conj().T)
 
 
 class TestSteadyState:
@@ -328,7 +337,8 @@ class TestPropagate:
         s = assemble(make_generator("weak_coupling"))
         rho0 = maximally_mixed(8)
         out = propagate(s, rho0, np.array([0.0]))
-        assert np.abs(out[0].matrix - rho0.matrix).max() <= 1e-14
+        assert np.array_equal(out, [coordinates(rho0)])
+        assert np.abs(states(out, 8)[0] - rho0.matrix).max() <= 1e-14
 
     def test_relaxes_to_steady_state(self):
         s = assemble(make_generator("weak_coupling"))
@@ -337,7 +347,7 @@ class TestPropagate:
         t_end = 25.0 / abs(slowest)
         out = propagate(s, maximally_mixed(8), np.array([0.0, t_end]))
         rep = steady_state(s)
-        assert np.abs(out[-1].matrix - rep.state.matrix).max() <= 1e-8
+        assert np.abs(states(out, 8)[-1] - rep.state.matrix).max() <= 1e-8
 
     def test_closed_system_projector_constant(self):
         left = BathSpec(beta=0.41, coupling=0.0, side="left")
@@ -346,15 +356,15 @@ class TestPropagate:
         vec = gen.eigensystem.eigenvectors[:, 2]
         rho0 = Operator(np.outer(vec, vec.conj()), hermitian=True)
         out = propagate(assemble(gen), rho0, np.linspace(0.0, 50.0, 6))
-        for state in out:
-            assert np.abs(state.matrix - rho0.matrix).max() <= 1e-12
+        for state in states(out, 8):
+            assert np.abs(state - rho0.matrix).max() <= 1e-12
 
     def test_trace_preserved_along_path(self):
         for variant in ALL_VARIANTS:
             s = assemble(make_generator(variant))
             out = propagate(s, maximally_mixed(8), np.linspace(0.0, 300.0, 31))
-            for state in out:
-                assert abs(state.trace() - 1.0) <= 1e-10
+            for state in states(out, 8):
+                assert abs(np.trace(state) - 1.0) <= 1e-10
 
     def test_lindblad_positivity_along_path(self):
         rng = np.random.default_rng(9)
@@ -364,8 +374,8 @@ class TestPropagate:
         for variant in LINDBLAD:
             s = assemble(make_generator(variant))
             out = propagate(s, rho0, np.linspace(0.0, 200.0, 21))
-            for state in out:
-                assert np.linalg.eigvalsh(state.matrix).min() >= -1e-10
+            for state in states(out, 8):
+                assert np.linalg.eigvalsh(state).min() >= -1e-10
 
     def test_rejects_unnormalized_input(self):
         s = assemble(make_generator("weak_coupling"))
@@ -396,10 +406,10 @@ class TestPropagate:
         s = Superoperator(sparse=scipy.sparse.csr_array(m), dim=2, generator=None)
         rho0 = Operator(np.array([[0.5, 0.2 + 0.1j], [0.2 - 0.1j, 0.5]]), hermitian=True)
         times = np.linspace(0.0, 10.0, 21)
-        for t, state in zip(times, propagate(s, rho0, times)):
+        for t, state in zip(times, states(propagate(s, rho0, times), 2)):
             rho01 = (0.2 + 0.1 * t + 0.1j) * math.exp(-t)
             want = np.array([[0.5, rho01], [np.conj(rho01), 0.5]])
-            assert np.abs(state.matrix - want).max() <= 1e-12
+            assert np.abs(state - want).max() <= 1e-12
 
     def test_generator_breaking_hermiticity_is_an_error(self):
         # the Jordan block [[-1, 1], [0, -1]] on (rho_10, rho_01) maps a
@@ -441,12 +451,12 @@ class TestPropagate:
                 if v0[idx].any():
                     outside[idx] = False
             assert outside.any()  # no start the CLI offers fills every component
-            states = propagate(s, rho0, times)
+            path = states(propagate(s, rho0, times), 16)
             for k, flow in flows.items():
                 want = flow @ v0
-                got = vectorize(states[k].matrix)
+                got = vectorize(path[k])
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-            assert not any(vectorize(state.matrix)[outside].any() for state in states)
+            assert not any(vectorize(state)[outside].any() for state in path)
 
     def test_full_support_start_propagates_every_component(self):
         s = assemble(make_generator("secular"))
@@ -457,16 +467,24 @@ class TestPropagate:
         rho0 = Operator(m / np.trace(m), hermitian=True)
         assert np.all(rho0.matrix != 0)
         times = np.linspace(0.0, 300.0, 601)
-        states = propagate(s, rho0, times)
+        path = states(propagate(s, rho0, times), 8)
         # t = 0.5, 1, 1.5, 7, 60, 61, 62 and 300
         for k in (1, 2, 3, 14, 120, 122, 124, 600):
             want = unvectorize(scipy.linalg.expm(s.matrix * times[k])
                                @ vectorize(rho0.matrix), 8)
-            assert np.abs(states[k].matrix - want).max() <= 1e-10
+            assert np.abs(path[k] - want).max() <= 1e-10
 
-    @pytest.mark.parametrize("n,points", [(3, 201), (5, 2001)])
-    def test_memory_preflight_covers_traced_peak(self, monkeypatch, n, points):
-        s = assemble(make_generator("weak_coupling",
+    @pytest.mark.parametrize("variant,n,points", [
+        pytest.param("weak_coupling", 3, 201, id="3-201"),
+        pytest.param("weak_coupling", 5, 2001, id="5-2001"),
+        # expm_multiply's fixed work on the component's submatrix dominates
+        # a short grid, and the CLI's 201 points at n=5
+        pytest.param("redfield", 5, 2, id="redfield-5-2"),
+        pytest.param("redfield", 5, 201, id="redfield-5-201"),
+        pytest.param("secular", 5, 2, id="secular-5-2"),
+        pytest.param("secular", 5, 201, id="secular-5-201")])
+    def test_memory_preflight_covers_traced_peak(self, monkeypatch, variant, n, points):
+        s = assemble(make_generator(variant,
                                     chain=ChainSpec(n=n, field=1.0, exchange=0.01)))
         s.real  # formed before the trace, as by any earlier solve
         required = []
@@ -474,23 +492,25 @@ class TestPropagate:
                             lambda nbytes, what: required.append(nbytes))
         tracemalloc.start()
         try:
-            states = propagate(s, maximally_mixed(s.dim), np.linspace(0.0, 400.0, points))
+            out = propagate(s, maximally_mixed(s.dim), np.linspace(0.0, 400.0, points))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        del states
+        del out
         assert peak <= required[0]
 
     def test_memory_preflight_refuses_before_allocating(self, monkeypatch):
-        # 9 points * (48 bytes * 64 entries + 256 bytes) = 29952 bytes at n=3
+        # 9 points * 16 bytes * 64 entries + 64 bytes * 320 non-zeros
+        # + 32768 bytes = 62464 bytes at n=3
         s = assemble(make_generator("weak_coupling"))
-        monkeypatch.setattr(operators, "available_memory", lambda: 29951)
+        assert s.sparse.nnz == 320
+        monkeypatch.setattr(operators, "available_memory", lambda: 62463)
         monkeypatch.setattr(liouville, "connected_blocks",
                             lambda m: pytest.fail("allocated past the preflight"))
         with pytest.raises(DimensionError, match="memory available"):
             propagate(s, maximally_mixed(8), np.linspace(0.0, 40.0, 9))
         monkeypatch.undo()
-        monkeypatch.setattr(operators, "available_memory", lambda: 29952)
+        monkeypatch.setattr(operators, "available_memory", lambda: 62464)
         assert len(propagate(s, maximally_mixed(8), np.linspace(0.0, 40.0, 9))) == 9
 
     def test_logs_occupied_components(self, caplog):
@@ -510,34 +530,57 @@ class TestPropagate:
         after = np.random.random()
         np.random.seed(2)
         second = propagate(s, maximally_mixed(8), times)
-        for a, b in zip(first, second):
-            assert np.array_equal(a.matrix, b.matrix)
+        assert np.array_equal(first, second)
         np.random.seed(1)
         assert np.random.random() == after  # the caller's stream is left as it was
 
 
-class TestExpectationSeries:
+class TestCoordinates:
+    @pytest.mark.parametrize("d", [2, 8, 32])
+    def test_functional_identity(self, d):
+        rng = np.random.default_rng(d)
+        for _ in range(10):
+            obs = random_hermitian(rng, d)
+            m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            m = m @ m.conj().T
+            rho = Operator(m / np.trace(m), hermitian=True)
+            want = np.trace(rho.matrix @ obs.matrix).real
+            scale = np.linalg.norm(obs.matrix) * np.linalg.norm(rho.matrix)
+            assert abs(coordinates(obs) @ coordinates(rho) - want) <= 1e-14 * scale
+
+    def test_unflagged_operator_raises(self):
+        unflagged = Operator(np.eye(8, dtype=complex) / 8)
+        with pytest.raises(ValueError, match="flagged hermitian"):
+            coordinates(unflagged)
+        s = assemble(make_generator("weak_coupling"))
+        with pytest.raises(ValueError, match="flagged hermitian"):
+            propagate(s, unflagged, np.array([0.0, 1.0]))
+
     def test_identity_observable(self):
         s = assemble(make_generator("weak_coupling"))
         out = propagate(s, maximally_mixed(8), np.linspace(0.0, 100.0, 5))
         ident = Operator(np.eye(8, dtype=complex), hermitian=True)
-        assert np.allclose(expectation_series(out, ident), 1.0, atol=1e-10)
+        assert np.allclose(out @ coordinates(ident), 1.0, atol=1e-10)
 
     def test_secular_current_vanishes(self):
         gen = make_generator("secular")
         rep = steady_state(assemble(gen))
         j = build_current_operator(FIG_CHAIN, 1)
-        vals = expectation_series([rep.state], j)
-        assert abs(vals[0]) <= 1e-10 * FIG_CHAIN.exchange * FIG_CHAIN.field
+        val = coordinates(j) @ coordinates(rep.state)
+        assert abs(val) <= 1e-10 * FIG_CHAIN.exchange * FIG_CHAIN.field
 
     def test_bond_uniformity_in_weak_coupling_steady_state(self):
         rep = steady_state(assemble(make_generator("weak_coupling")))
-        j1 = expectation_series([rep.state], build_current_operator(FIG_CHAIN, 1))
-        j2 = expectation_series([rep.state], build_current_operator(FIG_CHAIN, 2))
-        assert abs(j1[0] - j2[0]) <= 1e-8 * abs(j1[0])
+        r = coordinates(rep.state)
+        j1 = coordinates(build_current_operator(FIG_CHAIN, 1)) @ r
+        j2 = coordinates(build_current_operator(FIG_CHAIN, 2)) @ r
+        assert abs(j1 - j2) <= 1e-8 * abs(j1)
 
     def test_dim_mismatch(self):
-        rep = steady_state(assemble(make_generator("weak_coupling")))
-        with pytest.raises(DimensionError):
-            expectation_series([rep.state],
-                               Operator(np.eye(4, dtype=complex), hermitian=True))
+        s = assemble(make_generator("weak_coupling"))
+        out = propagate(s, maximally_mixed(8), np.linspace(0.0, 100.0, 5))
+        small = coordinates(Operator(np.eye(2, dtype=complex), hermitian=True))
+        with pytest.raises(ValueError):
+            out @ small
+        with pytest.raises(ValueError):
+            small @ out[0]

@@ -11,11 +11,11 @@ from spinflux import mcwf, operators
 from spinflux.bath import BathSpec
 from spinflux.chain import ChainSpec
 from spinflux.dissipators import Generator, LindbladTerms
-from spinflux.liouville import Superoperator, assemble, propagate
+from spinflux.liouville import Superoperator, assemble, coordinates, propagate
 from spinflux.mcwf import (Trajectory, _BatchKernel, _rng_for,
                            effective_hamiltonian, evolve_trajectory,
                            run_ensemble, split_seed)
-from spinflux.observables import expectation_series, reported_current_operator
+from spinflux.observables import reported_current_operator
 from spinflux.operators import DimensionError, Operator, connected_blocks, pauli
 
 FIG_CHAIN = ChainSpec(n=3, field=1.0, exchange=0.01)
@@ -286,7 +286,7 @@ class TestBlocks:
         s = Superoperator(sparse=scipy.sparse.csr_array(liouvillian), dim=2,
                           generator=None)
         rho0 = Operator(np.outer(EXCITED, EXCITED.conj()), hermitian=True)
-        exact = expectation_series(propagate(s, rho0, grid), pauli("z"))
+        exact = propagate(s, rho0, grid) @ coordinates(pauli("z"))
         res = run_ensemble(terms, EXCITED, grid, {"sz": pauli("z")},
                            realizations=4000, master_seed=4242)
         dev = np.abs(res.means["sz"] - exact)
