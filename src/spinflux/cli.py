@@ -15,11 +15,14 @@ variant, tolerances).  Outputs are byte-stable: identical configuration and
 seed give identical files, whatever SPINFLUX_WORKERS or the BLAS thread
 count says.
 
+Before it builds anything, ``run`` checks every limit of its mode with the
+counts of the code that allocates; a size known only once something is built
+(the Liouvillian's non-zeros, secular's Bohr groups) is checked there.
+
 Exit codes: 0 success, 2 configuration error (including a configuration file
-that cannot be read or decoded), 3 solver failure (including a
-chain too long for Liouville-space solves, and a trajectory ensemble or a
-Bohr decomposition whose dense matrices would not fit in the memory
-available).
+that cannot be read or decoded), 3 solver failure (including a chain too
+long for Liouville-space solves, and a run whose memory count exceeds the
+memory available).
 """
 
 from __future__ import annotations
@@ -36,12 +39,13 @@ from . import __version__
 from .config import (MODES, ConfigError, RunConfig, config_hash, parse_config,
                      with_overrides)
 from .chain import build_hamiltonian, build_local_hamiltonian_site
-from .dissipators import VARIANTS, Generator, VariantError
+from .dissipators import LOCAL_JUMPS, VARIANTS, Generator, VariantError
 from .liouville import (SolverError, Superoperator, assemble, coordinates,
-                        propagate, steady_state)
-from .mcwf import NormCollapseError, check_memory, run_ensemble
+                        propagate, require_sites, steady_state)
+from .mcwf import NormCollapseError, ensemble_bytes, run_ensemble
 from .observables import gibbs_state, reported_current_operator, transport_report
-from .operators import DimensionError, Operator, eig_hermitian
+from .operators import (DimensionError, Operator, dense_bytes, eig_hermitian,
+                        embedded_bytes, require_memory)
 
 logger = logging.getLogger(__name__)
 
@@ -66,10 +70,6 @@ def _initial_density(config: RunConfig) -> Operator:
         return Operator(np.outer(ground, ground.conj()), hermitian=True)
     beta0 = float(name.split(":", 1)[1])
     return gibbs_state(h, beta0)
-
-
-def _time_grid(config: RunConfig) -> np.ndarray:
-    return np.linspace(0.0, config.t_max, config.steps + 1)
 
 
 def _observables(config: RunConfig) -> dict:
@@ -97,10 +97,6 @@ def _provenance(config: RunConfig) -> dict:
     }
 
 
-def _format(x: float) -> str:
-    return repr(float(x))
-
-
 def _write_csv(path: Path, provenance: dict, columns: dict) -> None:
     """Provenance comment lines, then ``columns``, an ordered mapping from
     column name to values (time first), as a header and rows."""
@@ -108,7 +104,7 @@ def _write_csv(path: Path, provenance: dict, columns: dict) -> None:
              for key, value in sorted(provenance.items())]
     lines.append(",".join(columns))
     for row in zip(*columns.values()):
-        lines.append(",".join(_format(x) for x in row))
+        lines.append(",".join(repr(float(x)) for x in row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -122,8 +118,27 @@ def _steady_payload(config: RunConfig, s: Superoperator) -> dict:
                             s.generator.eigensystem)
 
 
+def _check_limits(config: RunConfig) -> None:
+    """Refuse a run over a limit of its mode before anything is built: the
+    site cap, and the memory of the ensemble, the dense operators held (rho0,
+    the observables, which have at most one non-zero per row, H and the jumps
+    of each generator) and building one more."""
+    n, d = config.chain.n, config.chain.dim
+    if config.mode != "mcwf":
+        require_sites(n)
+    if config.mode in ("mcwf", "compare"):
+        obs, jumps, gens = ((2 * n - 1, LOCAL_JUMPS.get(config.variant, 0), 1)
+                            if config.mode == "mcwf"
+                            else (1, LOCAL_JUMPS["weak_coupling"], 2))
+        require_memory(ensemble_bytes(d, jumps, [d] * obs, config.steps + 1,
+                                      config.realizations, mixed=True)
+                       + dense_bytes(d, 1 + obs + gens + jumps) + embedded_bytes(n),
+                       f"{config.mode} mode on {n} sites")
+
+
 def run(config: RunConfig) -> None:
     """Execute one configuration; artifacts land in config.output_dir."""
+    _check_limits(config)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     provenance = _provenance(config)
@@ -134,11 +149,7 @@ def run(config: RunConfig) -> None:
         _write_json(out / "steady.json", payload)
         return
 
-    times = _time_grid(config)
-    if config.mode == "mcwf":
-        # the observables below: one current per bond, one energy per site
-        check_memory(config.chain.dim, 2 * config.chain.n - 1, config.steps + 1,
-                     config.realizations)
+    times = np.linspace(0.0, config.t_max, config.steps + 1)
     rho0 = _initial_density(config)
 
     if config.mode == "evolve":
@@ -161,8 +172,7 @@ def run(config: RunConfig) -> None:
         _write_csv(out / "mcwf.csv", provenance, columns)
         return
 
-    # compare: non-secular reference vs weak-coupling Lindblad vs its ensemble;
-    # run_ensemble checks the memory for its one observable
+    # compare: non-secular reference vs weak-coupling Lindblad vs its ensemble
     current = reported_current_operator(config.chain, 1)
     red = _generator(config, "redfield")
     weak = _generator(config, "weak_coupling")

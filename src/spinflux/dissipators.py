@@ -54,11 +54,13 @@ import scipy.sparse
 from .bath import BathSpec, rate
 from .chain import (ChainSpec, build_coupling_operator, build_hamiltonian,
                     contact_site)
-from .operators import (PAULI, EigenSystem, Operator, eig_hermitian, embedded_sum,
-                        require_memory, stack_rows)
+from .operators import (PAULI, EigenSystem, Operator, dense_bytes, eig_hermitian,
+                        embedded_sum, require_memory, stack_rows)
 
 VARIANTS = ("redfield", "secular", "weak_coupling", "local_diag")
 LINDBLAD_VARIANTS = ("secular", "weak_coupling", "local_diag")
+# jump channels of the local variants, known before they are built
+LOCAL_JUMPS = {"weak_coupling": 2, "local_diag": 4}
 
 DEFAULT_CLUSTER_TOL_FACTOR = 1e-9
 ZERO_OPERATOR_NORM = 1e-14
@@ -124,17 +126,16 @@ def bohr_decompose(h: Operator, x: Operator, cluster_tol: float,
     energy by ``w``, so the pairs sum back to ``x`` and are closed under
     ``(w, X) -> (-w, X_dag)``.  Levels and frequencies are grouped by
     ``_bohr_labels``.  Components with max-norm below ``ZERO_OPERATOR_NORM``
-    are dropped.  ``eig``, when given, is ``eig_hermitian(h)``.  Before it
-    forms them, ``DimensionError`` refuses a decomposition whose dense
-    operators (two per positive-frequency group, plus the zero-frequency
-    one) would not fit in the memory available.
+    are dropped.  ``eig``, when given, is ``eig_hermitian(h)``.  The dense
+    operators, two per positive-frequency group and the zero-frequency one,
+    must fit in the memory available before they are formed.
     """
     if not h.hermitian:
         raise ValueError("bohr_decompose requires a hermitian generator of the spectrum")
     if eig is None:
         eig = eig_hermitian(h)
     labels, freqs = _bohr_labels(eig, cluster_tol)
-    require_memory((2 * len(freqs) + 1) * 16 * eig.dim ** 2,
+    require_memory(dense_bytes(eig.dim, 2 * len(freqs) + 1),
                    f"a Bohr decomposition at dimension {eig.dim} into "
                    f"{len(freqs)} positive-frequency groups")
     u = eig.eigenvectors

@@ -18,15 +18,13 @@ picture of Alicki & Lendi, Quantum Dynamical Semigroups and Applications,
 LNP 286 (1987)).  The solvers read only that map, ``Superoperator.real``,
 in the real coordinates of ``_hermitian_basis``: ``steady_state`` factorizes
 the trace-bordered real matrix once with a sparse LU, and ``propagate``
-calls ``expm_multiply`` on real vectors over the whole grid once per
-connected component of the real matrix's non-zero pattern that the initial
-state occupies (the CLI's start states fill one of two at n=5).  The steady
-state is mapped back as ``unvec(U x)`` with ``x`` real, and so is Hermitian
-by construction; ``propagate`` returns the real coordinates themselves.
+calls ``expm_multiply`` on the components of its non-zero pattern that the
+initial state occupies.  The steady state ``unvec(U x)``, ``x`` real, is
+Hermitian by construction; ``propagate`` returns the real coordinates.
 ``U`` is unitary, so an observable's expectation is a real dot product,
 ``tr(rho O) = coordinates(O) @ coordinates(rho)``, and a time series is
-``propagate(...) @ coordinates(O)``.  The LU's fill caps chains at
-``MAX_SITES``; longer ones need the trajectory sampler.
+``propagate(...) @ coordinates(O)``.  The LU's fill, not countable before
+factorizing, caps chains at ``MAX_SITES`` (``require_sites``).
 """
 
 from __future__ import annotations
@@ -50,14 +48,12 @@ MAX_SITES = 6
 NULLSPACE_TOL = 1e-10
 INVERSE_ITERATIONS = 4
 TRACE_DRIFT_TOL = 1e-10
-# propagate's bytes at its traced peak: per grid point and Liouville-space
-# entry, the returned real coordinates and expm_multiply's output for the
-# occupied component (8 + 8); per non-zero of the Liouvillian and once,
-# expm_multiply's fixed work on the component's real submatrix and its copies;
-# the traced peak was at most 0.82 of the count for the chains at n=3 to 6
-PROPAGATE_BYTES_PER_ENTRY = 16
-PROPAGATE_BYTES_PER_NONZERO = 64
-PROPAGATE_FIXED_BYTES = 2 ** 15
+# propagate's bytes at its traced peak (0.50 to 0.89 of the count at n=3 to 6):
+# per grid point and Liouville-space entry, the real coordinates returned and
+# expm_multiply's output (8 + 8); per non-zero of the Liouvillian, the fixed
+# work of expm_multiply on a component, and the real form if propagate forms it
+PROPAGATE_BYTES_PER_ENTRY, PROPAGATE_BYTES_PER_NONZERO = 16, 64
+PROPAGATE_FIXED_BYTES, REAL_FORM_BYTES_PER_NONZERO = 2 ** 15, 40
 
 
 class SolverError(RuntimeError):
@@ -177,17 +173,21 @@ def apply(terms, rho: np.ndarray) -> np.ndarray:
     return out
 
 
+def require_sites(n: int) -> None:
+    """Raise ``DimensionError`` for a chain longer than ``MAX_SITES``."""
+    if n > MAX_SITES:
+        raise DimensionError(
+            f"Liouville solves are capped at {MAX_SITES} sites (got {n}); "
+            "use the trajectory sampler for longer chains")
+
+
 def assemble(gen: Generator) -> Superoperator:
     """Build ``sum c * kron(B.T, A)`` over the generator's sandwich terms in
     CSR: with ``c_t * B_t`` flattened into row t of ``P`` and ``A_t`` into
     row t of ``Q``, ``P.T @ Q`` holds ``sum_t c_t B_t[c, a] A_t[b, e]`` at
     ``(c*d + a, b*d + e)``, whose place in the Kronecker sum is ``(a*d + b,
     c*d + e)``."""
-    n = gen.chain.n
-    if n > MAX_SITES:
-        raise DimensionError(
-            f"Liouville solves are capped at {MAX_SITES} sites (got {n}); "
-            "use the trajectory sampler for longer chains")
+    require_sites(gen.chain.n)
     d = gen.chain.dim
     eye = np.eye(d)
     p = stack_rows((c * (eye if b is None else b) for c, _, b in gen.sandwich_terms()),
@@ -299,7 +299,8 @@ def propagate(s: Superoperator, rho0: Operator, times: np.ndarray) -> np.ndarray
     entry stays exactly 0.  The grid is ``linspace(0, t_max, N)``
     (``operators.time_grid``), so a component takes one ``expm_multiply``
     call (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)).  A run that
-    would not fit in memory raises ``DimensionError`` before allocation.
+    would not fit in memory (``s.real`` included, if formed here) raises
+    ``DimensionError`` before allocation.
     Trace drift beyond TRACE_DRIFT_TOL at any output time is an error, never
     a silent renormalization.
     """
@@ -311,8 +312,10 @@ def propagate(s: Superoperator, rho0: Operator, times: np.ndarray) -> np.ndarray
     if abs(r0[diag].sum() - 1.0) > 1e-10:
         raise ValueError("initial state must have unit trace")
 
+    per_nonzero = PROPAGATE_BYTES_PER_NONZERO + (
+        0 if "real" in s.__dict__ else REAL_FORM_BYTES_PER_NONZERO)
     require_memory(len(times) * PROPAGATE_BYTES_PER_ENTRY * s.dim ** 2
-                   + PROPAGATE_BYTES_PER_NONZERO * s.sparse.nnz + PROPAGATE_FIXED_BYTES,
+                   + per_nonzero * s.sparse.nnz + PROPAGATE_FIXED_BYTES,
                    f"propagating {len(times)} states of dimension {s.dim}")
     real = s.real
     vecs = np.zeros((len(times), s.dim ** 2))

@@ -13,12 +13,10 @@ advanced from its last jump in closed form, ``c <- exp(-i Lambda dt) c`` in
 eigen-coordinates.  Its amplitudes ``psi = V c`` give the squared norm
 ``|psi|^2`` at every time, and its derivative ``-psi^dag D psi`` with the
 positive semidefinite ``D = LindbladTerms.decay``, in CSR, that H_eff is
-built from.  A batch moves from jump to jump, one round per jump, whatever
-the length of the grid.  Each jump time is the root of the log of the
-monotone norm minus the log of the threshold, found by a bracketed,
-safeguarded Newton iteration to ``JUMP_TIME_RTOL`` of the jump's time; the
-sampler has no time-step bias.  The grid samples are advanced from each
-column's last jump, in blocks of at most ``BATCH_SIZE`` states.  A block
+built from.  Each jump time is the root of the log of the monotone norm
+minus the log of the threshold, found by a bracketed, safeguarded Newton
+iteration to ``JUMP_TIME_RTOL`` of the jump's time; the sampler has no
+time-step bias (``_BatchKernel`` takes one round per jump).  A block
 whose eigenvector matrix is worse conditioned than ``EIGVEC_CONDITION_LIMIT``
 (near an exceptional point) is advanced with ``scipy.linalg.expm`` of the
 block instead, one stacked call per advance for all columns.  The stacked
@@ -26,9 +24,8 @@ jump operators, ``D`` and the observables are applied as CSR matrices: a
 chain jump or bond current has at most one non-zero per row, and ``D`` of a
 local variant is diagonal.
 
-Before it allocates, ``run_ensemble`` checks that the dense matrices it is
-about to allocate, the observables and a batch's samples of them fit in the
-memory available now, and raises ``DimensionError`` if they do not.
+Before it allocates, ``run_ensemble`` raises ``DimensionError`` unless the
+bytes ``ensemble_bytes`` counts fit in the memory available.
 
 Reproducibility contract: trajectory ``r`` of a run with master seed ``m``
 draws from a private Philox stream keyed by the 128-bit integer
@@ -52,17 +49,22 @@ import scipy.linalg
 import scipy.sparse
 
 from .dissipators import LindbladTerms
-from .operators import (DimensionError, Operator, connected_blocks, eig_hermitian,
-                        require_memory, time_grid)
+from .operators import (DimensionError, Operator, connected_blocks, dense_bytes,
+                        eig_hermitian, require_memory, time_grid)
 
 NORM_COLLAPSE = 1e-14
 BATCH_SIZE = 256
 EIGVEC_CONDITION_LIMIT = 1e4
 JUMP_TIME_RTOL = 1e-12
 MAX_ROOT_ITERATIONS = 100
-# d x d arrays run_ensemble allocates at its traced peak, H_eff, V, V^-1 and
-# temporaries: 2.24 at n=9 from a pure state, 3.22 from the maximally mixed one
-KERNEL_DENSE_MATRICES = 4
+# run_ensemble's ledger, fitted to tracemalloc peaks at n=3 to 10: the
+# kernel's d x d arrays (H_eff, V, V^-1, splitting temporaries); d-vectors per
+# trajectory of a batch besides 2d + 1 entries per jump channel (a branch, its
+# conjugate, their product), and per column of a block of samples; bytes of a
+# trajectory's random stream, per non-zero of a CSR observable at the peak of
+# its conversion, and of a mixed start's blocks (165 KB at n=6)
+KERNEL_DENSE_MATRICES, BATCH_STATE_VECTORS, BATCH_SAMPLE_VECTORS = 4, 10, 6
+STREAM_BYTES, CSR_BYTES_PER_NONZERO, ENSEMBLE_FIXED_BYTES = 1024, 56, 2 ** 18
 _MASK64 = (1 << 64) - 1
 
 
@@ -70,16 +72,22 @@ class NormCollapseError(RuntimeError):
     """The unnormalized state norm fell below the representable floor."""
 
 
-def check_memory(dim: int, observables: int, points: int,
-                 trajectories: int) -> None:
-    """Raise ``DimensionError`` unless ``observables`` dense ``dim x dim``
-    observables, the dense matrices ``run_ensemble`` allocates and a batch's
-    float64 samples of every observable at ``points`` grid points fit in
-    available memory."""
-    require_memory((observables + KERNEL_DENSE_MATRICES) * 16 * dim * dim
-                   + 8 * observables * points * min(BATCH_SIZE, trajectories),
-                   f"a trajectory ensemble at dimension {dim} with "
-                   f"{observables} observable(s)")
+def _workers(workers: int | None) -> int:
+    return int(os.environ.get("SPINFLUX_WORKERS", "1")) if workers is None else workers
+
+
+def ensemble_bytes(dim: int, jumps: int, observable_nnz: list, points: int,
+                   realizations: int, mixed: bool, workers: int | None = None) -> int:
+    """Bytes ``run_ensemble`` allocates: the kernel, the eigenvectors of a
+    ``mixed`` start, the CSR observables (``observable_nnz`` non-zeros each),
+    and per batch in flight, one per worker process, its samples and states."""
+    batch = min(BATCH_SIZE, realizations)
+    per_batch = (batch * (8 * len(observable_nnz) * points + STREAM_BYTES
+                          + 16 * (BATCH_STATE_VECTORS * dim + jumps * (2 * dim + 1)))
+                 + 16 * dim * BATCH_SAMPLE_VECTORS * min(BATCH_SIZE, batch * points))
+    csr = sum(CSR_BYTES_PER_NONZERO * nnz + 8 * (dim + 1) for nnz in observable_nnz)
+    return (ENSEMBLE_FIXED_BYTES + dense_bytes(dim, KERNEL_DENSE_MATRICES + mixed) + csr
+            + min(_workers(workers), -(-realizations // BATCH_SIZE)) * per_batch)
 
 
 def _norms2(psi: np.ndarray) -> np.ndarray:
@@ -100,8 +108,6 @@ def _rng_for(seed: int) -> np.random.Generator:
 class Trajectory:
     """One stochastic realization: jump record plus unit-norm state samples."""
 
-    seed: int
-    times: np.ndarray
     states: np.ndarray
     jump_times: np.ndarray
     jump_channels: np.ndarray
@@ -110,16 +116,11 @@ class Trajectory:
 @dataclass(frozen=True)
 class TrajectoryEnsembleResult:
     """Ensemble means and standard errors of observables on a time grid, and
-    the jumps of all trajectories per channel (in the order of
-    ``terms.jumps``)."""
+    the jumps of all trajectories per channel (in ``terms.jumps`` order)."""
 
-    realizations: int
-    times: np.ndarray
     means: dict
     standard_errors: dict
-    master_seed: int
     jump_counts: np.ndarray
-    provenance: dict
 
 
 def effective_hamiltonian(h: Operator, terms: LindbladTerms) -> Operator:
@@ -308,9 +309,7 @@ def evolve_trajectory(h_eff: Operator, terms: LindbladTerms, psi0: np.ndarray,
                       times: np.ndarray, seed: int) -> Trajectory:
     """Single stochastic realization with full state and jump records;
     ``h_eff`` must be ``terms.effective_hamiltonian()``."""
-    psi0 = np.asarray(psi0, dtype=complex).ravel()
-    if abs(np.linalg.norm(psi0) - 1.0) > 1e-10:
-        raise ValueError("initial state must be normalized")
+    psi0, _ = _initial_states(np.asarray(psi0))
     if psi0.shape[0] != h_eff.dim:
         raise DimensionError(f"state dim {psi0.shape[0]} != hamiltonian dim {h_eff.dim}")
     if not np.array_equal(h_eff.matrix, terms.effective_hamiltonian()):
@@ -319,38 +318,29 @@ def evolve_trajectory(h_eff: Operator, terms: LindbladTerms, psi0: np.ndarray,
     rng = _rng_for(seed)
     jump_log = [[]]
     states = np.empty((len(kernel.times), kernel.dim), dtype=complex)
-    for grid, _, block in kernel.run(psi0[:, None], [rng], jump_log):
+    for grid, _, block in kernel.run(psi0, [rng], jump_log):
         states[grid] = block.T
-    events = jump_log[0]
-    return Trajectory(
-        seed=seed,
-        times=kernel.times,
-        states=states,
-        jump_times=np.array([e[0] for e in events]),
-        jump_channels=np.array([e[1] for e in events], dtype=int),
-    )
+    events = np.array(jump_log[0]).reshape(-1, 2)
+    return Trajectory(states, events[:, 0], events[:, 1].astype(int))
 
 
 def _initial_states(initial):
-    """Normalize the initial-state argument into ``(vectors, cum, kind)``.
-
-    A pure state (a vector) is the one column of ``vectors``, ``cum`` is None
-    and it consumes no randomness; a mixed density matrix is unraveled by
-    sampling its eigenvectors with cumulative probabilities ``cum`` from its
-    eigenvalues (one uniform draw per trajectory).
-    """
+    """``(vectors, cum)``: a pure state (a vector) is the one column of
+    ``vectors``, ``cum`` is None and it consumes no randomness; a mixed
+    density matrix is unraveled by sampling its eigenvectors with cumulative
+    probabilities ``cum`` (one uniform draw per trajectory)."""
     if isinstance(initial, Operator):
         eig = eig_hermitian(initial)
         probs = np.clip(eig.eigenvalues, 0.0, None)
         total = probs.sum()
         if not math.isclose(total, 1.0, rel_tol=0, abs_tol=1e-10):
             raise ValueError("mixed initial state must have unit trace")
-        return eig.eigenvectors, np.cumsum(probs / total), "mixed-eigenvector-sampling"
+        return eig.eigenvectors, np.cumsum(probs / total)
 
     psi = np.asarray(initial, dtype=complex).ravel()
     if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
         raise ValueError("initial state must be normalized")
-    return psi[:, None], None, "pure"
+    return psi[:, None], None
 
 
 def _run_batch(kernel: _BatchKernel, obs_mats: list, vectors: np.ndarray,
@@ -395,14 +385,15 @@ def run_ensemble(terms: LindbladTerms, initial, times: np.ndarray,
     for name, op in observables.items():
         if op.dim != dim:
             raise DimensionError(f"observable {name!r} dim {op.dim} != {dim}")
-    check_memory(dim, len(observables), len(times), realizations)
-    vectors, cum, initial_kind = _initial_states(initial)
-    obs_names = list(observables)
-    obs_mats = [scipy.sparse.csr_array(observables[name].matrix)
-                for name in obs_names]
+    workers = _workers(workers)
+    nnz = [np.count_nonzero(op.matrix) for op in observables.values()]
+    require_memory(ensemble_bytes(dim, len(terms), nnz, len(times), realizations,
+                                  isinstance(initial, Operator), workers),
+                   f"a trajectory ensemble at dimension {dim} with "
+                   f"{len(nnz)} observable(s)")
+    vectors, cum = _initial_states(initial)
+    obs_mats = [scipy.sparse.csr_array(op.matrix) for op in observables.values()]
 
-    if workers is None:
-        workers = int(os.environ.get("SPINFLUX_WORKERS", "1"))
     batch_args = (_BatchKernel(terms, times), obs_mats, vectors, cum, master_seed)
     spans = [(s, min(BATCH_SIZE, realizations - s))
              for s in range(0, realizations, BATCH_SIZE)]
@@ -424,20 +415,8 @@ def run_ensemble(terms: LindbladTerms, initial, times: np.ndarray,
     else:
         ses = np.zeros_like(means)
 
-    return TrajectoryEnsembleResult(
-        realizations=r,
-        times=np.asarray(times, dtype=float),
-        means={name: means[i] for i, name in enumerate(obs_names)},
-        standard_errors={name: ses[i] for i, name in enumerate(obs_names)},
-        master_seed=master_seed,
-        jump_counts=jump_counts,
-        provenance={
-            "initial_state": initial_kind,
-            "seed_scheme": "philox128(master<<64|index)",
-            "batch_size": BATCH_SIZE,
-            "sampler": "exact-waiting-time",
-        },
-    )
+    return TrajectoryEnsembleResult(dict(zip(observables, means)),
+                                    dict(zip(observables, ses)), jump_counts)
 
 
 _worker_batch_args = None

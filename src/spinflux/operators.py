@@ -1,11 +1,9 @@
 """Checked dense matrices on tensor-product spin spaces.
 
 An ``Operator`` is an immutable dense complex square matrix; one flagged
-Hermitian is verified Hermitian when it is made.  Everything in this
-package works at chain lengths where dense storage is comfortable;
-``MAX_DENSE_DIM`` caps the Hilbert-space dimension (2**12) so a
-mis-configured chain fails fast instead of thrashing, and
-``require_memory`` refuses an allocation larger than the memory available.
+Hermitian is verified Hermitian when it is made.  No dimension is capped:
+each entry point that allocates counts its bytes first, and
+``require_memory``, the one gate, refuses a count above the memory available.
 
 Chain operators are sums of one-site (2x2) and two-site (4x4) blocks.
 ``embedded_sum`` adds each block straight into one preallocated array
@@ -22,18 +20,17 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse.csgraph
 
-MAX_DENSE_DIM = 4096
-
 HERMITICITY_RTOL = 1e-12
-
 GRID_SPACING_RTOL = 1e-10
-
 MEMINFO = "/proc/meminfo"
+# the traced peak of an embedded_sum wrapped in an Operator: d x d arrays (the
+# sum, the Operator's copy, the conjugate and difference of its hermiticity
+# check), numpy's buffer for the transposed operand, and objects (4 KiB at n=3)
+EMBEDDED_MATRICES, NUMPY_BUFFER_ENTRIES, EMBEDDED_OBJECT_BYTES = 4, 8192, 2 ** 13
 
 
 class DimensionError(ValueError):
-    """Operator dimensions are incompatible, exceed the dense cap, or need
-    more memory than is available."""
+    """Operator dimensions are incompatible, or need more memory than is free."""
 
 
 def available_memory() -> int | None:
@@ -54,14 +51,25 @@ def available_memory() -> int | None:
         return None
 
 
+def dense_bytes(dim: int, matrices: int) -> int:
+    """Bytes of ``matrices`` dense complex ``dim x dim`` arrays."""
+    return 16 * matrices * dim * dim
+
+
+def embedded_bytes(n: int) -> int:
+    """Bytes of an ``embedded_sum`` on ``n`` sites wrapped in an ``Operator``."""
+    return (dense_bytes(2 ** n, EMBEDDED_MATRICES)
+            + 16 * min(4 ** n, NUMPY_BUFFER_ENTRIES) + EMBEDDED_OBJECT_BYTES)
+
+
 def require_memory(nbytes: int, what: str) -> None:
-    """Raise ``DimensionError`` if ``what`` needs ``nbytes`` of dense
-    matrices, more than the memory available now."""
+    """Raise ``DimensionError`` if ``what`` needs ``nbytes``, more than the
+    memory available now."""
     free = available_memory()
     if free is not None and nbytes > free:
         raise DimensionError(
-            f"{what} needs {nbytes / 2**20:.0f} MiB of dense matrices, "
-            f"more than the {free / 2**20:.0f} MiB of memory available")
+            f"{what} needs {nbytes / 2**20:.0f} MiB, more than the "
+            f"{free / 2**20:.0f} MiB of memory available")
 
 
 def _as_matrix(entries) -> np.ndarray:
@@ -96,9 +104,6 @@ class Operator:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def trace(self) -> complex:
-        return complex(np.trace(self.matrix))
 
     def __repr__(self) -> str:
         return f"Operator(dim={self.dim}, hermitian={self.hermitian})"
@@ -153,8 +158,7 @@ def embedded_sum(blocks, n: int) -> np.ndarray:
     blocks go straight into one zeroed array, so the result equals the sum of
     ``kron(kron(1, block), 1)`` in the same order entry for entry.
     """
-    if 2 ** n > MAX_DENSE_DIM:
-        raise DimensionError(f"chain of {n} sites exceeds dense cap {MAX_DENSE_DIM}")
+    require_memory(embedded_bytes(n), f"a dense operator on {n} sites")
     out = np.zeros((2 ** n, 2 ** n), dtype=complex)
     for site, block in blocks:
         k = block.shape[0]

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from spinflux import operators
 from spinflux.chain import (ChainSpec, build_coupling_operator,
                             build_current_operator, build_hamiltonian,
                             build_interaction, build_local_hamiltonian,
@@ -72,7 +74,7 @@ class TestLocalHamiltonian:
 
     def test_traceless(self):
         spec = ChainSpec(n=4, field=2.5, exchange=0.01)
-        assert abs(build_local_hamiltonian(spec).trace()) <= 1e-12
+        assert abs(np.trace(build_local_hamiltonian(spec).matrix)) <= 1e-12
 
     def test_three_site_spectrum(self):
         # enumeration oracle: energies (field/2) * sum of +-1 over 3 spins
@@ -148,7 +150,7 @@ class TestCurrentOperator:
         for b in (1, 2):
             j = build_current_operator(spec, b)
             assert j.hermitian
-            assert abs(j.trace()) <= 1e-13
+            assert abs(np.trace(j.matrix)) <= 1e-13
 
     def test_diagonal_elements_vanish_in_energy_basis(self):
         spec = ChainSpec(n=3, field=1.0, exchange=0.01)
@@ -287,9 +289,29 @@ class TestBuildersMatchKronReference:
         returned = [gen.hamiltonian, *gen.coupling_operators, *currents]
         assert len(checked) <= len(returned) == 8
 
-    def test_dense_cap_refuses_thirteen_sites(self):
+    def test_thirteen_sites_refused_beyond_memory(self, monkeypatch):
+        # no cap on the dimension: 4 dense 8192 x 8192 arrays are 4 GiB
         spec = ChainSpec(n=13, field=1.0, exchange=0.01)
+        monkeypatch.setattr(operators, "available_memory", lambda: 4 * 2 ** 30)
+        monkeypatch.setattr(np, "zeros", lambda *args, **kw: pytest.fail("allocated"))
         for build in (build_hamiltonian, lambda s: build_current_operator(s, 1),
                       lambda s: build_coupling_operator(s, "left")):
-            with pytest.raises(DimensionError, match="dense cap"):
+            with pytest.raises(DimensionError, match="on 13 sites needs 4096 MiB"):
                 build(spec)
+
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_memory_count_covers_traced_peak(self, monkeypatch, n):
+        # each embedded_sum counts its array and the transients of the
+        # Operator that wraps it; build_hamiltonian holds one more sum
+        required = []
+        monkeypatch.setattr(operators, "require_memory",
+                            lambda nbytes, what: required.append(nbytes))
+        spec = ChainSpec(n=n, field=1.0, exchange=0.01)
+        tracemalloc.start()
+        try:
+            build_hamiltonian(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert required == [operators.embedded_bytes(n)] * 2
+        assert peak <= required[0]

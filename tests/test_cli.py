@@ -2,13 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import spinflux
-from spinflux import cli, config, operators
+from spinflux import chain, cli, config, dissipators, operators
 from spinflux.cli import main
 from spinflux.config import parse_config
 from spinflux.dissipators import VARIANTS, Generator
@@ -264,22 +265,77 @@ class TestFailureModes:
         assert record["exit_code"] == 3
 
     def test_mcwf_memory_preflight_exit_code_and_record(self, tmp_path, monkeypatch):
-        # 5 observables + 4 ensemble matrices at d = 8 need 9216 bytes, and
-        # the samples of 5 observables at 9 points for 256 trajectories
-        # 92160 bytes more
-        monkeypatch.setattr(operators, "available_memory", lambda: 101375)
+        # at d = 8, run_ensemble's count for 5 observables of 8 non-zeros,
+        # 2 jumps, 9 points and one batch of 256 of the 300 trajectories from
+        # a mixed start: 262144 fixed bytes, 5 * 1024 of dense matrices,
+        # 5 * 520 of CSR observables and a batch of 256 * 3208 + 196608;
+        # then the CLI's dense rho0, 5 observables, H and 2 jumps, 9 * 1024,
+        # and building one more, 4 * 1024 + 1024 + 8192.  In all 1310248 bytes
+        monkeypatch.delenv("SPINFLUX_WORKERS", raising=False)
+        monkeypatch.setattr(operators, "available_memory", lambda: 1310247)
         cfg = write_config(tmp_path, BASE + "mode = mcwf\nvariant = weak_coupling\n")
         out = tmp_path / "o"
-        assert main(["run", str(cfg), "--out", str(out)]) == 3
+        with monkeypatch.context() as m:
+            m.setattr(cli, "Generator",
+                      lambda *args, **kw: pytest.fail("built past the pre-check"))
+            assert main(["run", str(cfg), "--out", str(out)]) == 3
         record = json.loads((out / "error.json").read_text())
         assert record["error"] == "DimensionError"
         assert record["exit_code"] == 3
         assert not (out / "mcwf.csv").exists()
+        monkeypatch.setattr(operators, "available_memory", lambda: 1310248)
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("mode", ["steady", "evolve", "compare"])
+    def test_site_cap_refuses_before_any_generator(self, tmp_path, monkeypatch, mode):
+        monkeypatch.setattr(Generator, "__init__",
+                            lambda *args, **kw: pytest.fail("built past the site cap"))
+        text = BASE.replace("chain.n = 3", "chain.n = 7")
+        cfg = write_config(tmp_path, text + f"mode = {mode}\nvariant = redfield\n")
+        out = tmp_path / "o"
+        assert main(["run", str(cfg), "--out", str(out)]) == 3
+        record = json.loads((out / "error.json").read_text())
+        assert record["error"] == "DimensionError" and record["exit_code"] == 3
+        assert "capped at 6 sites" in record["message"]
+
+    def test_mcwf_at_twelve_sites_refused_before_allocating(self, tmp_path, monkeypatch):
+        # 23 dense observables, rho0, H and 2 jumps are 6.75 GiB at n = 12;
+        # with the kernel and the transients they exceed 7.34 GiB
+        monkeypatch.setattr(operators, "available_memory", lambda: int(7.34 * 2 ** 30))
+        for module in (operators, chain, dissipators):
+            monkeypatch.setattr(module, "embedded_sum",
+                                lambda *args: pytest.fail("allocated past the pre-check"))
+        text = BASE.replace("chain.n = 3", "chain.n = 12")
+        cfg = write_config(tmp_path, text + "mode = mcwf\nvariant = weak_coupling\n")
+        out = tmp_path / "o"
+        assert main(["run", str(cfg), "--out", str(out), "--realizations", "8"]) == 3
+        record = json.loads((out / "error.json").read_text())
+        assert record["error"] == "DimensionError" and record["exit_code"] == 3
+        assert "mcwf mode on 12 sites" in record["message"]
+
+    def test_mcwf_pre_check_covers_traced_peak(self, tmp_path, monkeypatch):
+        # n = 9 from the maximally mixed start: the count the CLI requires
+        # before it builds anything bounds what the whole run allocates
+        required = []
+        monkeypatch.setattr(cli, "require_memory",
+                            lambda nbytes, what: required.append(nbytes))
+        text = BASE.replace("chain.n = 3", "chain.n = 9")
+        run_config = config.with_overrides(
+            parse_config(text + "mode = mcwf\nvariant = weak_coupling\n"),
+            realizations=8, output_dir=str(tmp_path))
+        tracemalloc.start()
+        try:
+            cli.run(run_config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "mcwf.csv").is_file()
+        assert peak <= required[0]
 
     def test_evolve_memory_preflight_exit_code_and_record(self, tmp_path, monkeypatch):
-        # 9 states at n = 3: 9 * 16 bytes * 64 entries + 64 bytes * 320
-        # Liouvillian non-zeros + 32768 bytes = 62464
-        monkeypatch.setattr(operators, "available_memory", lambda: 62463)
+        # 9 states at n = 3: 9 * 16 bytes * 64 entries + (64 + 40 for the
+        # real form) bytes * 320 Liouvillian non-zeros + 32768 bytes = 75264
+        monkeypatch.setattr(operators, "available_memory", lambda: 75263)
         cfg = write_config(tmp_path, BASE + "mode = evolve\nvariant = weak_coupling\n")
         out = tmp_path / "o"
         assert main(["run", str(cfg), "--out", str(out)]) == 3

@@ -189,7 +189,7 @@ class TestRedfield:
         monkeypatch.setattr(dissipators, "bohr_decompose", refuse)
         gen = make_generator("redfield")
         report = steady_state(assemble(gen))
-        assert abs(report.state.trace() - 1.0) <= 1e-12
+        assert abs(np.trace(report.state.matrix) - 1.0) <= 1e-12
 
     def test_memory_preflight_leaves_redfield_alone(self, monkeypatch):
         # the amount at which the secular decomposition at n = 4 is refused

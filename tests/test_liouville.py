@@ -277,7 +277,7 @@ class TestSteadyState:
     def test_unit_trace_and_residual(self):
         for variant in ALL_VARIANTS:
             rep = steady_state(assemble(make_generator(variant)))
-            assert abs(rep.state.trace() - 1.0) <= 1e-12
+            assert abs(np.trace(rep.state.matrix) - 1.0) <= 1e-12
             assert rep.residual <= 1e-12
             assert rep.null_space_dim == 1
 
@@ -474,19 +474,26 @@ class TestPropagate:
                                @ vectorize(rho0.matrix), 8)
             assert np.abs(path[k] - want).max() <= 1e-10
 
-    @pytest.mark.parametrize("variant,n,points", [
-        pytest.param("weak_coupling", 3, 201, id="3-201"),
-        pytest.param("weak_coupling", 5, 2001, id="5-2001"),
+    @pytest.mark.parametrize("variant,n,points,formed", [
+        pytest.param("weak_coupling", 3, 201, True, id="3-201"),
+        pytest.param("weak_coupling", 5, 2001, True, id="5-2001"),
         # expm_multiply's fixed work on the component's submatrix dominates
         # a short grid, and the CLI's 201 points at n=5
-        pytest.param("redfield", 5, 2, id="redfield-5-2"),
-        pytest.param("redfield", 5, 201, id="redfield-5-201"),
-        pytest.param("secular", 5, 2, id="secular-5-2"),
-        pytest.param("secular", 5, 201, id="secular-5-201")])
-    def test_memory_preflight_covers_traced_peak(self, monkeypatch, variant, n, points):
+        pytest.param("redfield", 5, 2, True, id="redfield-5-2"),
+        pytest.param("redfield", 5, 201, True, id="redfield-5-201"),
+        pytest.param("secular", 5, 2, True, id="secular-5-2"),
+        pytest.param("secular", 5, 201, True, id="secular-5-201"),
+        # the CLI's order in evolve and compare mode: propagate forms s.real
+        pytest.param("redfield", 5, 2, False, id="fresh-redfield-5-2"),
+        pytest.param("redfield", 6, 2, False, id="fresh-redfield-6-2"),
+        pytest.param("local_diag", 5, 2, False, id="fresh-local_diag-5-2"),
+        pytest.param("local_diag", 6, 2, False, id="fresh-local_diag-6-2")])
+    def test_memory_preflight_covers_traced_peak(self, monkeypatch, variant, n, points,
+                                                 formed):
         s = assemble(make_generator(variant,
                                     chain=ChainSpec(n=n, field=1.0, exchange=0.01)))
-        s.real  # formed before the trace, as by any earlier solve
+        if formed:
+            s.real  # formed before the trace, as by any earlier solve
         required = []
         monkeypatch.setattr(liouville, "require_memory",
                             lambda nbytes, what: required.append(nbytes))
@@ -500,17 +507,21 @@ class TestPropagate:
         assert peak <= required[0]
 
     def test_memory_preflight_refuses_before_allocating(self, monkeypatch):
-        # 9 points * 16 bytes * 64 entries + 64 bytes * 320 non-zeros
-        # + 32768 bytes = 62464 bytes at n=3
+        # 9 points * 16 bytes * 64 entries + (64 + 40 for the real form
+        # this call forms) bytes * 320 non-zeros + 32768 bytes = 75264 bytes
+        # at n=3; once s.real is formed, 40 * 320 bytes less
         s = assemble(make_generator("weak_coupling"))
         assert s.sparse.nnz == 320
-        monkeypatch.setattr(operators, "available_memory", lambda: 62463)
+        monkeypatch.setattr(operators, "available_memory", lambda: 75263)
         monkeypatch.setattr(liouville, "connected_blocks",
                             lambda m: pytest.fail("allocated past the preflight"))
         with pytest.raises(DimensionError, match="memory available"):
             propagate(s, maximally_mixed(8), np.linspace(0.0, 40.0, 9))
+        assert "real" not in s.__dict__
         monkeypatch.undo()
-        monkeypatch.setattr(operators, "available_memory", lambda: 62464)
+        monkeypatch.setattr(operators, "available_memory", lambda: 75264)
+        assert len(propagate(s, maximally_mixed(8), np.linspace(0.0, 40.0, 9))) == 9
+        monkeypatch.setattr(operators, "available_memory", lambda: 75264 - 12800)
         assert len(propagate(s, maximally_mixed(8), np.linspace(0.0, 40.0, 9))) == 9
 
     def test_logs_occupied_components(self, caplog):

@@ -396,22 +396,28 @@ class TestEnsemble:
         assert len(calls) == 1
 
     def test_memory_preflight_refuses_before_allocating(self, monkeypatch):
-        # (1 observable + 4 ensemble matrices) * 16 bytes * 2 * 2 = 320 bytes,
-        # plus 8 bytes * 1 observable * 2 points * 1 trajectory = 336 bytes
-        monkeypatch.setattr(operators, "available_memory", lambda: 335)
+        # d = 2, one jump channel, one observable with 2 non-zeros, 2 points,
+        # 1 trajectory from a pure state: 262144 fixed bytes, 4 * 64 bytes of
+        # kernel matrices, 56 * 2 + 8 * 3 bytes of CSR observable, and one
+        # batch: (8 * 2 + 1024 + 16 * (10 * 2 + 5)) bytes for the trajectory
+        # and 16 * 2 * 6 * 2 bytes for its 2 samples' states = 264360 bytes
+        monkeypatch.setattr(operators, "available_memory", lambda: 264359)
         with pytest.raises(DimensionError, match="memory available"):
             run_ensemble(damping_terms(), EXCITED, np.array([0.0, 1.0]),
                          {"sz": pauli("z")}, realizations=1, master_seed=1)
 
     def test_memory_preflight_passes_when_memory_suffices(self, monkeypatch):
-        monkeypatch.setattr(operators, "available_memory", lambda: 336)
+        monkeypatch.setattr(operators, "available_memory", lambda: 264360)
         run_ensemble(damping_terms(), EXCITED, np.array([0.0, 1.0]),
                      {"sz": pauli("z")}, realizations=1, master_seed=1)
 
     def test_memory_preflight_counts_the_batch_samples(self, monkeypatch):
-        # 320 bytes of matrices plus the float64 samples of one batch:
-        # 8 bytes * 1 observable * 20001 points * 256 trajectories
-        total = 320 + 8 * 20001 * 256
+        # the bytes above with a batch of 256 trajectories whose float64
+        # samples fill 8 bytes * 1 observable * 20001 points each, and
+        # 256 columns of sample states
+        total = (262144 + 256 + 136 + 256 * (8 * 20001 + 1024 + 16 * 25)
+                 + 16 * 2 * 6 * 256)
+        monkeypatch.delenv("SPINFLUX_WORKERS", raising=False)
         monkeypatch.setattr(operators, "available_memory", lambda: total - 1)
         monkeypatch.setattr(mcwf, "_BatchKernel",
                             lambda *args: pytest.fail("allocated past the preflight"))
@@ -419,11 +425,31 @@ class TestEnsemble:
             run_ensemble(damping_terms(), EXCITED, np.linspace(0.0, 20.0, 20001),
                          {"sz": pauli("z")}, realizations=300, master_seed=1)
 
+    def test_memory_preflight_counts_every_batch_in_flight(self, monkeypatch):
+        # 512 realizations are two batches; with two workers both are in
+        # flight at once, each with its samples and working states
+        required = []
+
+        def record(nbytes, what):
+            required.append(nbytes)
+            raise DimensionError("recorded")
+
+        monkeypatch.setattr(mcwf, "require_memory", record)
+        for workers in (1, 2, 3):
+            with pytest.raises(DimensionError, match="recorded"):
+                run_ensemble(damping_terms(), EXCITED, np.linspace(0.0, 20.0, 101),
+                             {"sz": pauli("z")}, realizations=512, master_seed=1,
+                             workers=workers)
+        batch = 256 * (8 * 101 + 1024 + 16 * 25) + 16 * 2 * 6 * 256
+        assert required[1] - required[0] == batch
+        assert required[2] == required[1]  # only two batches to run
+
+    @pytest.mark.parametrize("n", [8, 9])
     @pytest.mark.parametrize("start", ["pure", "maximally_mixed"])
-    def test_memory_preflight_covers_traced_peak(self, monkeypatch, start):
-        # n=9: what the preflight requires bounds what run_ensemble allocates;
+    def test_memory_preflight_covers_traced_peak(self, monkeypatch, start, n):
+        # what the preflight requires bounds what run_ensemble allocates;
         # the maximally mixed start, the CLI's default, adds its eigenvectors
-        chain = ChainSpec(n=9, field=1.0, exchange=0.01)
+        chain = ChainSpec(n=n, field=1.0, exchange=0.01)
         gen = Generator("weak_coupling", chain, LEFT, RIGHT)
         terms = gen.lindblad_terms()
         obs = {"j": reported_current_operator(chain, 1)}
@@ -436,7 +462,6 @@ class TestEnsemble:
         required = []
         monkeypatch.setattr(mcwf, "require_memory",
                             lambda nbytes, what: required.append(nbytes))
-        mcwf.check_memory(chain.dim, 1, 5, 8)
         tracemalloc.start()
         try:
             run_ensemble(terms, initial, np.linspace(0.0, 40.0, 5), obs,
@@ -460,7 +485,6 @@ class TestEnsemble:
         required = []
         monkeypatch.setattr(mcwf, "require_memory",
                             lambda nbytes, what: required.append(nbytes))
-        mcwf.check_memory(chain.dim, 1, 401, 16)
         tracemalloc.start()
         try:
             res = run_ensemble(terms, psi0, np.linspace(0.0, 400.0, 401), obs,
@@ -478,7 +502,6 @@ class TestEnsemble:
         a = run_ensemble(terms, EXCITED, grid, {"sz": pauli("z")}, **kw)
         b = run_ensemble(terms, EXCITED, grid, {"sz": pauli("z")}, **kw)
         assert np.array_equal(a.means["sz"], b.means["sz"])
-        assert a.provenance["seed_scheme"] == "philox128(master<<64|index)"
 
 
 class TestOneGrid:

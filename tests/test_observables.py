@@ -108,7 +108,7 @@ class TestGibbsState:
     def test_unit_trace_and_ordering(self):
         h = build_hamiltonian(FIG_CHAIN)
         rho = gibbs_state(h, 2.0)
-        assert abs(rho.trace() - 1.0) <= 1e-12
+        assert abs(np.trace(rho.matrix) - 1.0) <= 1e-12
         eig = eig_hermitian(h)
         pops = np.einsum("im,ij,jm->m", eig.eigenvectors.conj(), rho.matrix,
                          eig.eigenvectors).real

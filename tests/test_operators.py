@@ -151,7 +151,7 @@ class TestEigHermitian:
         a = random_hermitian(rng, 8)
         eig = eig_hermitian(a)
         bound = 1e-10 * 8 * np.abs(a.matrix).max()
-        assert abs(eig.eigenvalues.sum() - a.trace().real) <= bound
+        assert abs(eig.eigenvalues.sum() - np.trace(a.matrix).real) <= bound
 
     def test_phase_convention(self):
         rng = np.random.default_rng(3)
