@@ -13,8 +13,8 @@ from .chain import (ChainSpec, build_coupling_operator, build_current_operator,
                     build_hamiltonian, build_interaction,
                     build_local_hamiltonian, build_local_hamiltonian_site)
 from .config import ConfigError, RunConfig, parse_config, serialize_config
-from .dissipators import (Generator, LindbladTerms, VariantError, bohr_decompose,
-                          gamma_matrix, gamma_remainder_factor, split_gamma)
+from .dissipators import (Generator, LindbladTerms, VariantError, gamma_matrix,
+                          gamma_remainder_factor, split_gamma)
 from .liouville import (DegenerateSteadyStateError, SolverError,
                         SteadyStateReport, Superoperator, apply, assemble,
                         coordinates, propagate, steady_state)

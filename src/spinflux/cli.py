@@ -38,13 +38,13 @@ import numpy as np
 from . import __version__
 from .config import (MODES, ConfigError, RunConfig, config_hash, parse_config,
                      with_overrides)
-from .chain import build_hamiltonian, build_local_hamiltonian_site
+from .chain import build_local_hamiltonian_site
 from .dissipators import LOCAL_JUMPS, VARIANTS, Generator, VariantError
 from .liouville import (SolverError, Superoperator, assemble, coordinates,
                         propagate, require_sites, steady_state)
 from .mcwf import NormCollapseError, ensemble_bytes, run_ensemble
 from .observables import gibbs_state, reported_current_operator, transport_report
-from .operators import (DimensionError, Operator, dense_bytes, eig_hermitian,
+from .operators import (DimensionError, EigenSystem, Operator, dense_bytes,
                         embedded_bytes, require_memory)
 
 logger = logging.getLogger(__name__)
@@ -59,17 +59,16 @@ def _generator(config: RunConfig, variant: str | None = None) -> Generator:
                      config.bath_right, cluster_tol=config.cluster_tol)
 
 
-def _initial_density(config: RunConfig) -> Operator:
+def _initial_density(config: RunConfig, gen: Generator) -> Operator:
+    """rho0; a ``ground`` or ``gibbs:`` start reads ``gen.eigensystem``."""
     name = config.initial_state
     d = config.chain.dim
     if name == "maximally_mixed":
         return Operator(np.eye(d, dtype=complex) / d, hermitian=True)
-    h = build_hamiltonian(config.chain)
     if name == "ground":
-        ground = eig_hermitian(h).eigenvectors[:, 0]
+        ground = gen.eigensystem.eigenvectors[:, 0]
         return Operator(np.outer(ground, ground.conj()), hermitian=True)
-    beta0 = float(name.split(":", 1)[1])
-    return gibbs_state(h, beta0)
+    return gibbs_state(gen.eigensystem, float(name.split(":", 1)[1]))
 
 
 def _observables(config: RunConfig) -> dict:
@@ -113,9 +112,8 @@ def _write_json(path: Path, payload: dict) -> None:
                     encoding="utf-8")
 
 
-def _steady_payload(config: RunConfig, s: Superoperator) -> dict:
-    return transport_report(steady_state(s, null_tol=config.nullspace_tol),
-                            s.generator.eigensystem)
+def _steady_payload(config: RunConfig, s: Superoperator, basis: EigenSystem) -> dict:
+    return transport_report(steady_state(s, null_tol=config.nullspace_tol), basis)
 
 
 def _check_limits(config: RunConfig) -> None:
@@ -144,18 +142,21 @@ def run(config: RunConfig) -> None:
     provenance = _provenance(config)
 
     if config.mode == "steady":
+        gen = _generator(config)
         payload = {"provenance": provenance,
-                   "steady": _steady_payload(config, assemble(_generator(config)))}
+                   "steady": _steady_payload(config, assemble(gen), gen.eigensystem)}
         _write_json(out / "steady.json", payload)
         return
 
     times = np.linspace(0.0, config.t_max, config.steps + 1)
-    rho0 = _initial_density(config)
+    # compare mode's start and both its rows read the redfield eigensystem
+    gen = _generator(config, "redfield" if config.mode == "compare" else None)
+    rho0 = _initial_density(config, gen)
 
     if config.mode == "evolve":
         observables = _observables(config)
         functionals = np.stack([coordinates(op) for op in observables.values()], axis=1)
-        series = propagate(assemble(_generator(config)), rho0, times) @ functionals
+        series = propagate(assemble(gen), rho0, times) @ functionals
         columns = {"time": times}
         columns.update(zip(observables, series.T))
         _write_csv(out / "series.csv", provenance, columns)
@@ -163,7 +164,7 @@ def run(config: RunConfig) -> None:
 
     if config.mode == "mcwf":
         observables = _observables(config)
-        result = run_ensemble(_generator(config).lindblad_terms(), rho0, times,
+        result = run_ensemble(gen.lindblad_terms(), rho0, times,
                               observables, config.realizations, config.master_seed)
         columns = {"time": times}
         for n in observables:
@@ -172,35 +173,23 @@ def run(config: RunConfig) -> None:
         _write_csv(out / "mcwf.csv", provenance, columns)
         return
 
-    # compare: non-secular reference vs weak-coupling Lindblad vs its ensemble
+    # compare: non-secular reference vs weak-coupling Lindblad vs its ensemble;
+    # one assembly per generator, dropped before the next is built
     current = reported_current_operator(config.chain, 1)
-    red = _generator(config, "redfield")
     weak = _generator(config, "weak_coupling")
-    red_current, red_steady = _exact_payloads(config, red, rho0, times, current)
-    weak_current, weak_steady = _exact_payloads(config, weak, rho0, times, current)
+    columns, rows = {"time": times}, {}
+    for g in (gen, weak):
+        s = assemble(g)
+        columns[f"current_{g.variant}"] = propagate(s, rho0, times) @ coordinates(current)
+        rows[g.variant] = _steady_payload(config, s, gen.eigensystem)
+        del s
     ensemble = run_ensemble(weak.lindblad_terms(), rho0, times,
                             {"current_b1": current},
                             config.realizations, config.master_seed)
-    _write_csv(out / "compare.csv", provenance, {
-        "time": times,
-        "current_redfield": red_current,
-        "current_weak_coupling": weak_current,
-        "current_weak_coupling_mcwf": ensemble.means["current_b1"],
-        "current_weak_coupling_mcwf_se": ensemble.standard_errors["current_b1"],
-    })
-    _write_json(out / "steady.json", {
-        "provenance": provenance,
-        "steady": {"redfield": red_steady, "weak_coupling": weak_steady},
-    })
-
-
-def _exact_payloads(config: RunConfig, gen: Generator, rho0: Operator,
-                    times: np.ndarray, current: Operator):
-    """Propagated current series and steady payload of one generator, from
-    one assembly; returning drops the sparse Liouvillian, so compare mode
-    holds at most one at a time."""
-    s = assemble(gen)
-    return propagate(s, rho0, times) @ coordinates(current), _steady_payload(config, s)
+    columns["current_weak_coupling_mcwf"] = ensemble.means["current_b1"]
+    columns["current_weak_coupling_mcwf_se"] = ensemble.standard_errors["current_b1"]
+    _write_csv(out / "compare.csv", provenance, columns)
+    _write_json(out / "steady.json", {"provenance": provenance, "steady": rows})
 
 
 def _write_error(config: RunConfig | None, out_dir: str | None,

@@ -34,11 +34,12 @@ included.  ``liouville.assemble`` and ``liouville.apply`` derive from it.
 ``LindbladTerms``, the jump form, owns the one CSR ``decay``
 ``sum_k rate_k L_k_dag L_k`` that H_eff and the trajectory sampler read.
 
-``_bohr_labels`` tags every eigenbasis matrix element with its transition
-frequency group.  The ``secular`` jumps are the eigenoperators X(w) that
-``bohr_decompose`` cuts out of that table, computed on first use by
-``Generator.eigenoperator_sets()``; the ``redfield`` filtered operator
-weights the same table with the bath rates in one pass and never forms them.
+Each spectrum is computed once, by its owner.  ``Generator`` owns the
+Hamiltonian's ``eigensystem`` and ``bohr_table``, the frequency group of
+every eigenbasis matrix element: the ``redfield`` filter weights that table
+with the bath rates in one pass, and the ``secular`` jumps are the
+eigenoperators X(w) cut out of it.  ``LindbladTerms`` owns H_eff's
+per-block ``eigenblocks``, which every trajectory kernel reads.
 """
 
 from __future__ import annotations
@@ -54,8 +55,8 @@ import scipy.sparse
 from .bath import BathSpec, rate
 from .chain import (ChainSpec, build_coupling_operator, build_hamiltonian,
                     contact_site)
-from .operators import (PAULI, EigenSystem, Operator, dense_bytes, eig_hermitian,
-                        embedded_sum, require_memory, stack_rows)
+from .operators import (PAULI, EigenSystem, Operator, connected_blocks, dense_bytes,
+                        eig_hermitian, embedded_sum, require_memory, stack_rows)
 
 VARIANTS = ("redfield", "secular", "weak_coupling", "local_diag")
 LINDBLAD_VARIANTS = ("secular", "weak_coupling", "local_diag")
@@ -65,6 +66,7 @@ LOCAL_JUMPS = {"weak_coupling": 2, "local_diag": 4}
 DEFAULT_CLUSTER_TOL_FACTOR = 1e-9
 ZERO_OPERATOR_NORM = 1e-14
 RATE_PRUNE_FACTOR = 1e-16
+EIGVEC_CONDITION_LIMIT = 1e4
 
 
 class VariantError(ValueError):
@@ -117,24 +119,16 @@ def _bohr_labels(eig: EigenSystem, cluster_tol: float) -> tuple[np.ndarray, np.n
     return pair_label[level_of[:, None], level_of[None, :]], freqs
 
 
-def bohr_decompose(h: Operator, x: Operator, cluster_tol: float,
-                   eig: EigenSystem | None = None) -> tuple:
-    """Split ``x`` into eigenoperators of ``h`` grouped by transition frequency.
-
-    Returns ``(w, X(w))`` pairs sorted by ``w``, with read-only ``X(w)``:
-    each collects the matrix elements of ``x`` whose transition lowers the
-    energy by ``w``, so the pairs sum back to ``x`` and are closed under
-    ``(w, X) -> (-w, X_dag)``.  Levels and frequencies are grouped by
-    ``_bohr_labels``.  Components with max-norm below ``ZERO_OPERATOR_NORM``
-    are dropped.  ``eig``, when given, is ``eig_hermitian(h)``.  The dense
-    operators, two per positive-frequency group and the zero-frequency one,
-    must fit in the memory available before they are formed.
-    """
-    if not h.hermitian:
-        raise ValueError("bohr_decompose requires a hermitian generator of the spectrum")
-    if eig is None:
-        eig = eig_hermitian(h)
-    labels, freqs = _bohr_labels(eig, cluster_tol)
+def _eigenoperators(x: Operator, eig: EigenSystem, labels: np.ndarray,
+                    freqs: np.ndarray) -> tuple:
+    """The eigenoperators of ``x``: ``(w, X(w))`` pairs sorted by ``w``, cut
+    from the Bohr table ``(labels, freqs)`` of the eigensystem ``eig``.  The
+    read-only ``X(w)`` collects the elements of ``x`` whose transition lowers
+    the energy by ``w``, so the pairs sum back to ``x`` and are closed under
+    ``(w, X) -> (-w, X_dag)``.  Components with max-norm below
+    ``ZERO_OPERATOR_NORM`` are dropped.  The dense operators, two per
+    positive-frequency group and the zero-frequency one, must fit in the
+    memory available before they are formed."""
     require_memory(dense_bytes(eig.dim, 2 * len(freqs) + 1),
                    f"a Bohr decomposition at dimension {eig.dim} into "
                    f"{len(freqs)} positive-frequency groups")
@@ -256,6 +250,24 @@ class LindbladTerms:
         """Non-Hermitian drift ``H - (i/2) D``, ``D`` from ``decay``."""
         return self.hamiltonian.matrix - 0.5j * self.decay
 
+    @cached_property
+    def eigenblocks(self) -> tuple:
+        """H_eff's eigensystem, per connected block of its non-zero pattern
+        (for the chain, the total-S_z sectors): ``(idx, eigenvalues, V,
+        V_inv)``, or ``(idx, block)`` of H_eff where ``V`` is worse
+        conditioned than ``EIGVEC_CONDITION_LIMIT`` (near an exceptional
+        point).  Diagonalized here only, once for every kernel."""
+        h_eff = self.effective_hamiltonian()
+        blocks = []
+        for idx in connected_blocks(h_eff):
+            block = h_eff[np.ix_(idx, idx)]
+            vals, vecs = np.linalg.eig(block)
+            cond = np.linalg.cond(vecs)
+            blocks.append((idx, vals, vecs, np.linalg.inv(vecs))
+                          if np.isfinite(cond) and cond <= EIGVEC_CONDITION_LIMIT
+                          else (idx, block))
+        return tuple(blocks)
+
     def sandwich_terms(self) -> Iterator[tuple]:
         """``(-i, H_eff, 1)``, ``(i, 1, H_eff_dag)``, then ``(rate_k, L_k,
         L_k_dag)`` in jump order: the Lindblad generator
@@ -271,10 +283,10 @@ class LindbladTerms:
 class Generator:
     """One master-equation generator: a variant bound to a chain and two baths.
 
-    The Hamiltonian's eigensystem, the contact operators and the Bohr
-    eigenoperator sets are computed on first use: ``redfield`` needs the
-    first two at construction, ``secular`` all three, and the local variants
-    none.  Everything else is built eagerly and is immutable.
+    The Hamiltonian's eigensystem and Bohr table, the contact operators and
+    the eigenoperator sets are computed on first use, once: ``redfield``
+    needs the first three at construction, ``secular`` all four, and the
+    local variants none.  Everything else is built eagerly and is immutable.
     """
 
     def __init__(self, variant: str, chain: ChainSpec, bath_left: BathSpec,
@@ -295,9 +307,8 @@ class Generator:
         self._terms: LindbladTerms | None = None
 
         if variant == "redfield":
-            labels, freqs = _bohr_labels(self.eigensystem, self.cluster_tol)
             self._filtered = tuple(
-                _spectral_filter(xc, b, self.eigensystem, labels, freqs)
+                _spectral_filter(xc, b, self.eigensystem, *self.bohr_table)
                 for xc, b in zip(self.coupling_operators, self.baths))
             return
         if variant == "secular":
@@ -318,7 +329,14 @@ class Generator:
 
     @cached_property
     def eigensystem(self) -> EigenSystem:
+        """The Hamiltonian's eigensystem, diagonalized here only."""
         return eig_hermitian(self.hamiltonian)
+
+    @cached_property
+    def bohr_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """``_bohr_labels`` of ``eigensystem``: the one frequency table that
+        the ``redfield`` filter and both baths' eigenoperators read."""
+        return _bohr_labels(self.eigensystem, self.cluster_tol)
 
     @cached_property
     def coupling_operators(self) -> tuple[Operator, Operator]:
@@ -330,14 +348,14 @@ class Generator:
         return self.variant in LINDBLAD_VARIANTS
 
     def eigenoperator_sets(self) -> tuple[tuple, ...]:
-        """Per bath, ``bohr_decompose`` of its contact operator."""
+        """Per bath, the ``(w, X(w))`` pairs of its contact operator, cut
+        from ``bohr_table`` by ``_eigenoperators``."""
         if self.variant not in ("redfield", "secular"):
             raise VariantError(f"variant {self.variant!r} does not decompose the "
                                "coupling operators against the full Hamiltonian")
         if self._eigensets is None:
             self._eigensets = tuple(
-                bohr_decompose(self.hamiltonian, xc, self.cluster_tol,
-                               eig=self.eigensystem)
+                _eigenoperators(xc, self.eigensystem, *self.bohr_table)
                 for xc in self.coupling_operators)
         return self._eigensets
 

@@ -6,23 +6,19 @@ non-Hermitian effective Hamiltonian H_eff; one uniform threshold is drawn per
 segment and a jump fires when the decaying squared norm crosses it.  The jump
 channel is selected with probability proportional to rate * |L psi|^2.
 
-H_eff splits into the connected blocks of its non-zero pattern (for the
-chain, the total-S_z sectors).  Each block is diagonalized once per ensemble,
-and every batch (in any worker process) shares the result, so a state is
+H_eff's eigensystem is ``LindbladTerms.eigenblocks``, diagonalized once per
+connected block of its non-zero pattern (for the chain, the total-S_z
+sectors) and read by every kernel built from the same terms.  So a state is
 advanced from its last jump in closed form, ``c <- exp(-i Lambda dt) c`` in
-eigen-coordinates.  Its amplitudes ``psi = V c`` give the squared norm
-``|psi|^2`` at every time, and its derivative ``-psi^dag D psi`` with the
-positive semidefinite ``D = LindbladTerms.decay``, in CSR, that H_eff is
-built from.  Each jump time is the root of the log of the monotone norm
-minus the log of the threshold, found by a bracketed, safeguarded Newton
-iteration to ``JUMP_TIME_RTOL`` of the jump's time; the sampler has no
-time-step bias (``_BatchKernel`` takes one round per jump).  A block
-whose eigenvector matrix is worse conditioned than ``EIGVEC_CONDITION_LIMIT``
-(near an exceptional point) is advanced with ``scipy.linalg.expm`` of the
-block instead, one stacked call per advance for all columns.  The stacked
-jump operators, ``D`` and the observables are applied as CSR matrices: a
-chain jump or bond current has at most one non-zero per row, and ``D`` of a
-local variant is diagonal.
+eigen-coordinates; a block too ill-conditioned to diagonalize is advanced
+with ``scipy.linalg.expm`` instead.  The amplitudes ``psi = V c`` give the
+squared norm ``|psi|^2`` at every time, and its derivative ``-psi^dag D psi``
+with ``D = LindbladTerms.decay``.  Each jump time is the root of the log of
+the monotone norm minus the log of the threshold, found by a bracketed,
+safeguarded Newton iteration to ``JUMP_TIME_RTOL`` of the jump's time, so
+the sampler has no time-step bias.  The stacked jump operators, ``D`` and
+the observables are applied as CSR matrices: a chain jump or bond current
+has at most one non-zero per row, and ``D`` of a local variant is diagonal.
 
 Before it allocates, ``run_ensemble`` raises ``DimensionError`` unless the
 bytes ``ensemble_bytes`` counts fit in the memory available.
@@ -49,16 +45,15 @@ import scipy.linalg
 import scipy.sparse
 
 from .dissipators import LindbladTerms
-from .operators import (DimensionError, Operator, connected_blocks, dense_bytes,
-                        eig_hermitian, require_memory, time_grid)
+from .operators import (DimensionError, Operator, dense_bytes, eig_hermitian,
+                        require_memory, time_grid)
 
 NORM_COLLAPSE = 1e-14
 BATCH_SIZE = 256
-EIGVEC_CONDITION_LIMIT = 1e4
 JUMP_TIME_RTOL = 1e-12
 MAX_ROOT_ITERATIONS = 100
-# run_ensemble's ledger, fitted to tracemalloc peaks at n=3 to 10: the
-# kernel's d x d arrays (H_eff, V, V^-1, splitting temporaries); d-vectors per
+# run_ensemble's ledger, fitted to tracemalloc peaks at n=3 to 10: d x d arrays
+# (the kernel's V, V^-1, and at most as much in terms.eigenblocks); d-vectors per
 # trajectory of a batch besides 2d + 1 entries per jump channel (a branch, its
 # conjugate, their product), and per column of a block of samples; bytes of a
 # trajectory's random stream, per non-zero of a CSR observable at the peak of
@@ -140,10 +135,10 @@ class _BatchKernel:
 
     States are held in coordinates ``x`` with amplitudes ``psi = V x``:
     eigen-coordinates on diagonalizable blocks of H_eff, and plain amplitudes
-    (``V = 1``) on the blocks advanced by ``expm``.  The dense matrices are
-    ``v`` and ``v_inv``; the stacked jumps and ``decay``, which on amplitudes
-    gives minus the rate of change of the squared norm, are the CSR ones of
-    ``terms``.
+    (``V = 1``) on the blocks advanced by ``expm``.  The dense matrices ``v``
+    and ``v_inv`` are ``terms.eigenblocks`` scattered into place; the stacked
+    jumps and ``decay``, which on amplitudes gives minus the rate of change
+    of the squared norm, are the CSR ones of ``terms``.
 
     A batch takes one round per jump, whatever the grid: each round advances
     every active column from its last jump to the grid's end, finishes the
@@ -159,23 +154,16 @@ class _BatchKernel:
         self.dim = dim = terms.hamiltonian.dim
         self.rates = np.array(terms.rates)
         self.stacked, self.decay = terms.stacked, terms.decay
-        h_eff = terms.effective_hamiltonian()
+        # the eigensystem first, so that H_eff is gone before v and v_inv exist
+        self.expm_blocks = [b for b in terms.eigenblocks if len(b) == 2]
         self.eigenvalues = np.zeros(dim, dtype=complex)
-        self.v = np.zeros((dim, dim), dtype=complex)
-        self.v_inv = np.zeros((dim, dim), dtype=complex)
-        self.expm_blocks = []
-        for idx in connected_blocks(h_eff):
-            block = h_eff[np.ix_(idx, idx)]
-            vals, vecs = np.linalg.eig(block)
-            cond = np.linalg.cond(vecs)
-            if np.isfinite(cond) and cond <= EIGVEC_CONDITION_LIMIT:
-                self.eigenvalues[idx] = vals
-                self.v[np.ix_(idx, idx)] = vecs
-                self.v_inv[np.ix_(idx, idx)] = np.linalg.inv(vecs)
+        self.v, self.v_inv = np.zeros((2, dim, dim), dtype=complex)
+        for idx, *eig in terms.eigenblocks:
+            if len(eig) == 3:
+                square = np.ix_(idx, idx)
+                self.eigenvalues[idx], self.v[square], self.v_inv[square] = eig
             else:
-                self.v[idx, idx] = 1.0
-                self.v_inv[idx, idx] = 1.0
-                self.expm_blocks.append((idx, block))
+                self.v[idx, idx] = self.v_inv[idx, idx] = 1.0
 
     def run(self, psi0: np.ndarray, rngs: list, jump_log: list | None = None,
             jump_counts: np.ndarray | None = None):
@@ -375,9 +363,12 @@ def run_ensemble(terms: LindbladTerms, initial, times: np.ndarray,
 
     ``initial`` is either a normalized state vector or a density-matrix
     Operator at t = 0, the first point of ``times``, ``linspace(0, t_max,
-    N)``.  ``workers`` > 1 fans fixed-size batches out to processes; it
-    defaults to the SPINFLUX_WORKERS environment variable (or 1) and never
-    changes the result bits.  One kernel serves every batch.
+    N)``.  Every observable must be flagged Hermitian: only the real part of
+    its expectation is kept.  ``workers`` > 1 fans fixed-size batches out to
+    processes; it defaults to the SPINFLUX_WORKERS environment variable (or
+    1) and never changes the result bits.  Pair each worker with one BLAS
+    thread (``OPENBLAS_NUM_THREADS=1``): workers that each start a
+    multi-threaded BLAS contend for the cores.  One kernel serves every batch.
     """
     if realizations < 1:
         raise ValueError("need at least one realization")
@@ -385,6 +376,8 @@ def run_ensemble(terms: LindbladTerms, initial, times: np.ndarray,
     for name, op in observables.items():
         if op.dim != dim:
             raise DimensionError(f"observable {name!r} dim {op.dim} != {dim}")
+        if not op.hermitian:
+            raise ValueError(f"observable {name!r} must be flagged hermitian")
     workers = _workers(workers)
     nnz = [np.count_nonzero(op.matrix) for op in observables.values()]
     require_memory(ensemble_bytes(dim, len(terms), nnz, len(times), realizations,

@@ -9,7 +9,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .chain import ChainSpec, build_current_operator, build_local_hamiltonian_site
-from .operators import DimensionError, EigenSystem, Operator, eig_hermitian
+from .operators import DimensionError, EigenSystem, Operator
 
 if TYPE_CHECKING:
     from .liouville import SteadyStateReport
@@ -57,9 +57,8 @@ def trace_distance(rho: Operator, sigma: Operator) -> float:
                                      compute_uv=False).sum())
 
 
-def gibbs_state(h: Operator, beta: float) -> Operator:
-    """Canonical state exp(-beta h)/Z, built from the eigendecomposition."""
-    eig = eig_hermitian(h)
+def gibbs_state(eig: EigenSystem, beta: float) -> Operator:
+    """Canonical state exp(-beta h)/Z of the h whose eigensystem is ``eig``."""
     w = np.exp(-beta * (eig.eigenvalues - eig.eigenvalues.min()))
     w /= w.sum()
     rho = (eig.eigenvectors * w) @ eig.eigenvectors.conj().T

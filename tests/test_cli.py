@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import spinflux
 from spinflux import chain, cli, config, dissipators, operators
@@ -14,7 +15,7 @@ from spinflux.cli import main
 from spinflux.config import parse_config
 from spinflux.dissipators import VARIANTS, Generator
 from spinflux.liouville import assemble, steady_state
-from spinflux.observables import transport_report
+from spinflux.observables import reported_current_operator, transport_report
 
 BASE = """\
 chain.n = 3
@@ -149,6 +150,84 @@ class TestMcwfMode:
         record = json.loads((out / "error.json").read_text())
         assert record["exit_code"] == 2
         assert "Lindblad" in record["message"]
+
+
+def record_calls(monkeypatch, name):
+    """The first argument of every call to ``name`` through any spinflux
+    module that binds it."""
+    seen = []
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "spinflux" and hasattr(module, name):
+            monkeypatch.setattr(module, name, lambda *args, f=getattr(module, name):
+                                seen.append(args[0]) or f(*args))
+    return seen
+
+
+def exact_start(run_config):
+    """rho0 of a ``ground`` or ``gibbs:`` start, from eigh and expm of H."""
+    h = chain.build_hamiltonian(run_config.chain).matrix
+    if run_config.initial_state == "ground":
+        ground = np.linalg.eigh(h)[1][:, 0]
+        return np.outer(ground, ground.conj())
+    rho = scipy.linalg.expm(-float(run_config.initial_state.split(":")[1]) * h)
+    return rho / np.trace(rho)
+
+
+STARTS = ["ground", "gibbs:1.0"]
+ARTIFACTS = {"evolve": "series.csv", "mcwf": "mcwf.csv", "compare": "compare.csv"}
+
+
+class TestInitialStates:
+    @pytest.mark.parametrize("start", STARTS)
+    @pytest.mark.parametrize("mode", ["evolve", "mcwf", "compare"])
+    def test_first_row_is_the_start(self, tmp_path, mode, start):
+        # exact columns to rounding; ensemble columns within 3 SE, which is
+        # rounding too for the pure ground state
+        text = BASE + f"mode = {mode}\nvariant = weak_coupling\ninitial_state = {start}\n"
+        out = tmp_path / "o"
+        assert main(["run", str(write_config(tmp_path, text)), "--out", str(out)]) == 0
+        run_config = parse_config(text)
+        spec, rho = run_config.chain, exact_start(run_config)
+        ops = {f"current_b{b}": reported_current_operator(spec, b)
+               for b in range(1, spec.n)}
+        ops.update({f"energy_s{site}": chain.build_local_hamiltonian_site(spec, site)
+                    for site in range(1, spec.n + 1)})
+        want = {name: np.trace(rho @ op.matrix).real for name, op in ops.items()}
+        if mode == "compare":
+            exact = {"current_redfield": want["current_b1"],
+                     "current_weak_coupling": want["current_b1"]}
+            sampled = {"current_weak_coupling_mcwf": want["current_b1"]}
+        else:
+            exact, sampled = (want, {}) if mode == "evolve" else ({}, want)
+        header, data = read_csv(out / ARTIFACTS[mode])
+        row = dict(zip(header, data[0]))
+        assert row["time"] == 0.0
+        assert set(exact) | set(sampled) <= set(row)
+        for column, value in exact.items():
+            assert abs(row[column] - value) <= 1e-12
+        for column, value in sampled.items():
+            assert abs(row[column] - value) <= 3.0 * row[column + "_se"] + 1e-12
+
+    @pytest.mark.parametrize("start", ["maximally_mixed", *STARTS])
+    def test_compare_diagonalizes_the_hamiltonian_once(self, tmp_path, monkeypatch,
+                                                        start):
+        # the start and both stationary rows read the redfield eigensystem
+        seen = record_calls(monkeypatch, "eig_hermitian")
+        text = BASE + f"mode = compare\ninitial_state = {start}\n"
+        assert main(["run", str(write_config(tmp_path, text)),
+                     "--out", str(tmp_path / "o")]) == 0
+        h = chain.build_hamiltonian(parse_config(text).chain).matrix
+        assert sum(np.array_equal(op.matrix, h) for op in seen) == 1
+
+    @pytest.mark.parametrize("start", STARTS)
+    @pytest.mark.parametrize("mode", ["evolve", "mcwf"])
+    def test_start_builds_no_hamiltonian_of_its_own(self, tmp_path, monkeypatch,
+                                                    mode, start):
+        seen = record_calls(monkeypatch, "build_hamiltonian")
+        text = BASE + f"mode = {mode}\nvariant = weak_coupling\ninitial_state = {start}\n"
+        assert main(["run", str(write_config(tmp_path, text)),
+                     "--out", str(tmp_path / "o")]) == 0
+        assert len(seen) == 1
 
 
 class TestCompareMode:

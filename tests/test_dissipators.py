@@ -7,10 +7,11 @@ import scipy.linalg
 from spinflux import dissipators, operators
 from spinflux.bath import BathSpec, rate
 from spinflux.chain import ChainSpec, build_coupling_operator
-from spinflux.dissipators import (Generator, LindbladTerms, VariantError,
-                                  bohr_decompose, gamma_matrix,
+from spinflux.dissipators import (LOCAL_JUMPS, Generator, LindbladTerms,
+                                  VariantError, gamma_matrix,
                                   gamma_remainder_factor,
                                   secular_terms_for_bath, split_gamma,
+                                  _bohr_labels, _eigenoperators,
                                   _local_flip_operators)
 from spinflux.liouville import apply, assemble, steady_state
 from spinflux.observables import gibbs_state
@@ -39,9 +40,15 @@ def two_level_field(field=1.0):
     return Operator(0.5 * field * pauli("z").matrix, hermitian=True)
 
 
+def decompose(h, x, cluster_tol):
+    """The eigenoperators of ``x`` against ``h``, as a generator cuts them."""
+    eig = eig_hermitian(h)
+    return _eigenoperators(x, eig, *_bohr_labels(eig, cluster_tol))
+
+
 class TestBohrDecompose:
     def test_two_level_lowering_convention(self):
-        dec = bohr_decompose(two_level_field(), pauli("x"), 1e-12)
+        dec = decompose(two_level_field(), pauli("x"), 1e-12)
         by_freq = {w: op for w, op in dec}
         assert set(by_freq) == {1.0, -1.0}
         assert np.allclose(by_freq[1.0], pauli("minus").matrix, atol=1e-14)
@@ -92,9 +99,16 @@ class TestBohrDecompose:
         with pytest.raises(ValueError, match="cluster_tol"):
             Generator(variant, FIG_CHAIN, LEFT, RIGHT, cluster_tol=tol)
 
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="hermitian"):
-            bohr_decompose(Operator(pauli("plus").matrix), pauli("x"), 1e-12)
+    @pytest.mark.parametrize("variant", ["redfield", "secular"])
+    def test_one_bohr_table_per_generator(self, variant, monkeypatch):
+        # the redfield filter and both baths' eigenoperators read one table
+        calls = []
+        monkeypatch.setattr(dissipators, "_bohr_labels",
+                            lambda *args: calls.append(1) or _bohr_labels(*args))
+        gen = make_generator(variant)
+        gen.eigenoperator_sets()
+        assemble(gen)
+        assert len(calls) == 1
 
 
 def dissipator(source, rho):
@@ -146,7 +160,7 @@ class TestRedfield:
         left = BathSpec(beta=1.0, coupling=0.01, side="left")
         right = BathSpec(beta=1.0, coupling=0.01, side="right")
         gen = Generator("redfield", FIG_CHAIN, left, right)
-        rho_g = gibbs_state(gen.hamiltonian, 1.0)
+        rho_g = gibbs_state(gen.eigensystem, 1.0)
         full = apply(gen.sandwich_terms(), rho_g.matrix)
         scale = np.abs(assemble(gen).matrix).max()
         assert np.abs(full).max() <= 1e-10 * scale
@@ -186,7 +200,7 @@ class TestRedfield:
         def refuse(*args, **kwargs):
             raise AssertionError("redfield decomposed a coupling operator")
 
-        monkeypatch.setattr(dissipators, "bohr_decompose", refuse)
+        monkeypatch.setattr(dissipators, "_eigenoperators", refuse)
         gen = make_generator("redfield")
         report = steady_state(assemble(gen))
         assert abs(np.trace(report.state.matrix) - 1.0) <= 1e-12
@@ -221,7 +235,7 @@ class TestSecular:
     def test_two_level_rates(self):
         # single-spin style check built straight from the decomposition
         bath = BathSpec(beta=0.9, coupling=0.05, side="left")
-        dec = bohr_decompose(two_level_field(), pauli("x"), 1e-12)
+        dec = decompose(two_level_field(), pauli("x"), 1e-12)
         pairs = secular_terms_for_bath(dec, bath)
         by_jump = {}
         for r, op in pairs:
@@ -496,6 +510,14 @@ class TestGeneratorSpec:
     def test_bath_sides_enforced(self):
         with pytest.raises(ValueError, match="side"):
             Generator("secular", FIG_CHAIN, RIGHT, RIGHT)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("variant", sorted(LOCAL_JUMPS))
+    def test_local_jump_counts_match_what_is_built(self, variant, n):
+        # the CLI's memory pre-check reads LOCAL_JUMPS before any generator exists
+        chain = ChainSpec(n=n, field=1.0, exchange=0.01)
+        terms = make_generator(variant, chain=chain).lindblad_terms()
+        assert len(terms) == LOCAL_JUMPS[variant]
 
     def test_redfield_has_no_lindblad_terms(self):
         gen = make_generator("redfield")

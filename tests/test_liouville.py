@@ -263,7 +263,7 @@ class TestSteadyState:
         right = BathSpec(beta=1.0, coupling=0.01, side="right")
         gen = make_generator("redfield", left=left, right=right)
         rep = steady_state(assemble(gen))
-        assert trace_distance(rep.state, gibbs_state(gen.hamiltonian, 1.0)) <= 1e-6
+        assert trace_distance(rep.state, gibbs_state(gen.eigensystem, 1.0)) <= 1e-6
 
     def test_secular_state_is_diagonal(self):
         gen = make_generator("secular")
@@ -439,7 +439,7 @@ class TestPropagate:
         ground = gen.eigensystem.eigenvectors[:, 0]
         starts = (maximally_mixed(16),
                   Operator(np.outer(ground, ground.conj()), hermitian=True),
-                  gibbs_state(gen.hamiltonian, 1.0))
+                  gibbs_state(gen.eigensystem, 1.0))
         times = np.linspace(0.0, 400.0, 41)
         # t = 0, 10, 20, 30, 150 and 400
         flows = {k: scipy.linalg.expm(s.matrix * times[k]) for k in (0, 1, 2, 3, 15, 40)}

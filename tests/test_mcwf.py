@@ -293,6 +293,33 @@ class TestBlocks:
         assert np.all(dev <= 3.0 * res.standard_errors["sz"] + 1e-12)
 
 
+    def test_eigensystem_computed_once_per_jump_terms(self, monkeypatch):
+        # the kernels of later ensembles and trajectories read the blocks that
+        # the first one diagonalized: the four S_z sectors at n = 3
+        eig_calls = []
+        eig = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig",
+                            lambda m: eig_calls.append(m.shape) or eig(m))
+        terms = Generator("weak_coupling", FIG_CHAIN, LEFT, RIGHT).lindblad_terms()
+        obs = {"j": reported_current_operator(FIG_CHAIN, 1)}
+        rho0 = Operator(np.eye(8, dtype=complex) / 8, hermitian=True)
+        grid = np.linspace(0.0, 20.0, 3)
+        psi0 = np.eye(8, dtype=complex)[1]
+        h_eff = Operator(terms.effective_hamiltonian())
+        counts = []
+        for call in (lambda: run_ensemble(terms, rho0, grid, obs, 16, 5),
+                     lambda: run_ensemble(terms, rho0, grid, obs, 16, 5),
+                     lambda: evolve_trajectory(h_eff, terms, psi0, grid, seed=1)):
+            call()
+            counts.append(len(eig_calls))
+        assert counts == [4, 4, 4]
+        assert sorted(eig_calls) == [(1, 1), (1, 1), (3, 3), (3, 3)]
+        fresh = Generator("weak_coupling", FIG_CHAIN, LEFT, RIGHT).lindblad_terms()
+        evolve_trajectory(h_eff, fresh, psi0, grid, seed=1)
+        run_ensemble(fresh, rho0, grid, obs, 16, 5)
+        assert len(eig_calls) == 8
+
+
 class TestEnsemble:
     def test_single_realization_matches_trajectory(self):
         terms = damping_terms()
@@ -378,16 +405,27 @@ class TestEnsemble:
             run_ensemble(damping_terms(), EXCITED, np.array(times),
                          {"sz": pauli("z")}, realizations=2, master_seed=1)
 
+    def test_rejects_observable_not_flagged_hermitian(self, monkeypatch):
+        # only the real part of <psi|O|psi> is kept, so sigma_plus's
+        # imaginary part would be dropped without a word
+        monkeypatch.setattr(mcwf, "require_memory",
+                            lambda *args: pytest.fail("counted past the check"))
+        with pytest.raises(ValueError, match="'sp' must be flagged hermitian"):
+            run_ensemble(damping_terms(), EXCITED, np.array([0.0, 1.0]),
+                         {"sz": pauli("z"), "sp": pauli("plus")}, realizations=2,
+                         master_seed=1)
+
     def test_requires_at_least_one_realization(self):
         with pytest.raises(ValueError, match="realization"):
             run_ensemble(damping_terms(), EXCITED, np.array([0.0, 1.0]),
                          {"sz": pauli("z")}, realizations=0, master_seed=1)
 
     def test_one_kernel_per_ensemble(self, monkeypatch):
-        # every kernel build splits H_eff once; 600 realizations are 3 batches
+        # 600 realizations are 3 batches, and one kernel serves them all
         calls = []
-        monkeypatch.setattr(mcwf, "connected_blocks",
-                            lambda m: calls.append(1) or connected_blocks(m))
+        kernel = mcwf._BatchKernel
+        monkeypatch.setattr(mcwf, "_BatchKernel",
+                            lambda *args: calls.append(1) or kernel(*args))
         gen = Generator("weak_coupling", FIG_CHAIN, LEFT, RIGHT)
         rho0 = Operator(np.eye(8, dtype=complex) / 8, hermitian=True)
         run_ensemble(gen.lindblad_terms(), rho0, np.linspace(0.0, 20.0, 3),
@@ -444,11 +482,10 @@ class TestEnsemble:
         assert required[1] - required[0] == batch
         assert required[2] == required[1]  # only two batches to run
 
-    @pytest.mark.parametrize("n", [8, 9])
-    @pytest.mark.parametrize("start", ["pure", "maximally_mixed"])
-    def test_memory_preflight_covers_traced_peak(self, monkeypatch, start, n):
-        # what the preflight requires bounds what run_ensemble allocates;
-        # the maximally mixed start, the CLI's default, adds its eigenvectors
+    @staticmethod
+    def traced_peak_and_count(monkeypatch, start, n, used):
+        """tracemalloc peak of one n-site run_ensemble and the bytes it
+        required; with ``used`` the jump terms have served a run before."""
         chain = ChainSpec(n=n, field=1.0, exchange=0.01)
         gen = Generator("weak_coupling", chain, LEFT, RIGHT)
         terms = gen.lindblad_terms()
@@ -459,17 +496,35 @@ class TestEnsemble:
         else:
             initial = Operator(np.eye(chain.dim, dtype=complex) / chain.dim,
                                hermitian=True)
+        grid = np.linspace(0.0, 40.0, 5)
+        if used:
+            run_ensemble(terms, initial, grid, obs, realizations=1, master_seed=3)
         required = []
         monkeypatch.setattr(mcwf, "require_memory",
                             lambda nbytes, what: required.append(nbytes))
         tracemalloc.start()
         try:
-            run_ensemble(terms, initial, np.linspace(0.0, 40.0, 5), obs,
-                         realizations=8, master_seed=3)
+            run_ensemble(terms, initial, grid, obs, realizations=8, master_seed=3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= required[0]
+        return peak, required[0]
+
+    @pytest.mark.parametrize("n", [8, 9])
+    @pytest.mark.parametrize("start", ["pure", "maximally_mixed"])
+    def test_memory_preflight_covers_traced_peak(self, monkeypatch, start, n):
+        # what the preflight requires bounds what run_ensemble allocates,
+        # H_eff's eigensystem included; the maximally mixed start, the CLI's
+        # default, adds its eigenvectors
+        peak, count = self.traced_peak_and_count(monkeypatch, start, n, used=False)
+        assert peak <= count
+
+    @pytest.mark.parametrize("n", [8, 9])
+    @pytest.mark.parametrize("start", ["pure", "maximally_mixed"])
+    def test_memory_preflight_covers_traced_peak_of_used_terms(self, monkeypatch,
+                                                               start, n):
+        peak, count = self.traced_peak_and_count(monkeypatch, start, n, used=True)
+        assert peak <= count
 
     def test_jump_free_run_stays_within_preflight(self, monkeypatch):
         # n=9 on a 401-point grid without jumps: the samples of 16

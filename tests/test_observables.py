@@ -89,7 +89,7 @@ class TestTraceDistance:
     def test_single_spin_gibbs_vs_mixed(self):
         # closed form: half of tanh(beta * field / 2)
         h = Operator(0.5 * pauli("z").matrix, hermitian=True)
-        got = trace_distance(gibbs_state(h, 1.0),
+        got = trace_distance(gibbs_state(eig_hermitian(h), 1.0),
                              Operator(np.eye(2, dtype=complex) / 2, hermitian=True))
         assert got == pytest.approx(0.5 * math.tanh(0.5), abs=1e-12)
         assert got == pytest.approx(0.23105857863000487, abs=1e-12)
@@ -106,10 +106,9 @@ class TestTraceDistance:
 
 class TestGibbsState:
     def test_unit_trace_and_ordering(self):
-        h = build_hamiltonian(FIG_CHAIN)
-        rho = gibbs_state(h, 2.0)
+        eig = eig_hermitian(build_hamiltonian(FIG_CHAIN))
+        rho = gibbs_state(eig, 2.0)
         assert abs(np.trace(rho.matrix) - 1.0) <= 1e-12
-        eig = eig_hermitian(h)
         pops = np.einsum("im,ij,jm->m", eig.eigenvectors.conj(), rho.matrix,
                          eig.eigenvectors).real
         assert all(a >= b - 1e-15 for a, b in zip(pops, pops[1:]))
@@ -119,7 +118,7 @@ class TestGibbsState:
         h = build_hamiltonian(FIG_CHAIN)
         direct = scipy.linalg.expm(-1.3 * h.matrix)
         direct /= np.trace(direct)
-        assert np.abs(gibbs_state(h, 1.3).matrix - direct).max() <= 1e-12
+        assert np.abs(gibbs_state(eig_hermitian(h), 1.3).matrix - direct).max() <= 1e-12
 
 
 class TestTransportReport:
