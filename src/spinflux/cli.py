@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -128,7 +129,10 @@ def _check_limits(config: RunConfig) -> None:
         obs, jumps, gens = ((2 * n - 1, LOCAL_JUMPS.get(config.variant, 0), 1)
                             if config.mode == "mcwf"
                             else (1, LOCAL_JUMPS["weak_coupling"], 2))
-        require_memory(ensemble_bytes(d, jumps, [d] * obs, config.steps + 1,
+        # the chain's H_eff splits into its total-S_z sectors, and a local
+        # jump, like the diagonal decay, has at most one non-zero per row
+        require_memory(ensemble_bytes([math.comb(n, k) for k in range(n + 1)], jumps,
+                                      (jumps + 1) * d, [d] * obs, config.steps + 1,
                                       config.realizations, mixed=True)
                        + dense_bytes(d, 1 + obs + gens + jumps) + embedded_bytes(n),
                        f"{config.mode} mode on {n} sites")

@@ -251,15 +251,22 @@ class LindbladTerms:
         return self.hamiltonian.matrix - 0.5j * self.decay
 
     @cached_property
+    def blocks(self) -> list[np.ndarray]:
+        """Index sets of the connected blocks of H_eff's non-zero pattern, the
+        union of H's and ``decay``'s (for the chain, the total-S_z sectors),
+        found without forming the dense H_eff."""
+        return connected_blocks(scipy.sparse.csr_array(self.hamiltonian.matrix != 0)
+                                + (self.decay != 0))
+
+    @cached_property
     def eigenblocks(self) -> tuple:
-        """H_eff's eigensystem, per connected block of its non-zero pattern
-        (for the chain, the total-S_z sectors): ``(idx, eigenvalues, V,
-        V_inv)``, or ``(idx, block)`` of H_eff where ``V`` is worse
+        """H_eff's eigensystem, per block of ``blocks``: ``(idx, eigenvalues,
+        V, V_inv)``, or ``(idx, block)`` of H_eff where ``V`` is worse
         conditioned than ``EIGVEC_CONDITION_LIMIT`` (near an exceptional
         point).  Diagonalized here only, once for every kernel."""
         h_eff = self.effective_hamiltonian()
         blocks = []
-        for idx in connected_blocks(h_eff):
+        for idx in self.blocks:
             block = h_eff[np.ix_(idx, idx)]
             vals, vecs = np.linalg.eig(block)
             cond = np.linalg.cond(vecs)

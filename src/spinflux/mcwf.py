@@ -8,12 +8,15 @@ channel is selected with probability proportional to rate * |L psi|^2.
 
 H_eff's eigensystem is ``LindbladTerms.eigenblocks``, diagonalized once per
 connected block of its non-zero pattern (for the chain, the total-S_z
-sectors) and read by every kernel built from the same terms.  So a state is
-advanced from its last jump in closed form, ``c <- exp(-i Lambda dt) c`` in
-eigen-coordinates; a block too ill-conditioned to diagonalize is advanced
-with ``scipy.linalg.expm`` instead.  The amplitudes ``psi = V c`` give the
-squared norm ``|psi|^2`` at every time, and its derivative ``-psi^dag D psi``
-with ``D = LindbladTerms.decay``.  Each jump time is the root of the log of
+sectors) and read by every kernel built from the same terms.  The kernel
+holds each state in sector order, the blocks one after another, so it
+multiplies by each block's ``V`` and ``V^-1`` on its own rows and never by a
+d x d matrix.  A state is advanced from its last jump in closed form,
+``c <- exp(-i Lambda dt) c`` in eigen-coordinates; a block too
+ill-conditioned to diagonalize is advanced with ``scipy.linalg.expm``
+instead.  The amplitudes ``psi = V c`` give the squared norm ``|psi|^2`` at
+every time, and its derivative ``-psi^dag D psi`` with ``D =
+LindbladTerms.decay``.  Each jump time is the root of the log of
 the monotone norm minus the log of the threshold, found by a bracketed,
 safeguarded Newton iteration to ``JUMP_TIME_RTOL`` of the jump's time, so
 the sampler has no time-step bias.  The stacked jump operators, ``D`` and
@@ -52,13 +55,18 @@ NORM_COLLAPSE = 1e-14
 BATCH_SIZE = 256
 JUMP_TIME_RTOL = 1e-12
 MAX_ROOT_ITERATIONS = 100
-# run_ensemble's ledger, fitted to tracemalloc peaks at n=3 to 10: d x d arrays
-# (the kernel's V, V^-1, and at most as much in terms.eigenblocks); d-vectors per
-# trajectory of a batch besides 2d + 1 entries per jump channel (a branch, its
-# conjugate, their product), and per column of a block of samples; bytes of a
-# trajectory's random stream, per non-zero of a CSR observable at the peak of
-# its conversion, and of a mixed start's blocks (165 KB at n=6)
-KERNEL_DENSE_MATRICES, BATCH_STATE_VECTORS, BATCH_SAMPLE_VECTORS = 4, 10, 6
+JUMP_CHANNEL_CHUNK = 8
+# run_ensemble's ledger, fitted to tracemalloc peaks at n=3 to 10: while
+# terms.eigenblocks is not yet cached, arrays the size of each block of H_eff (V,
+# V^-1 and the work of diagonalizing one block) and d x d arrays for H_eff and the
+# dense decay it is formed from; d x d arrays for a mixed start's
+# eigendecomposition, which is done before H_eff is formed and keeps one of them;
+# d-vectors per trajectory of a batch besides d + 2 entries per jump channel (a
+# branch and its weight's working arrays), and per column of a block of samples;
+# bytes of a trajectory's random stream, per non-zero of a CSR matrix at the peak
+# of its conversion to sector order, and of a mixed start's blocks (165 KB at n=6)
+KERNEL_BLOCK_MATRICES, HEFF_DENSE_MATRICES, MIXED_START_MATRICES = 4, 2, 4
+BATCH_STATE_VECTORS, BATCH_SAMPLE_VECTORS = 10, 6
 STREAM_BYTES, CSR_BYTES_PER_NONZERO, ENSEMBLE_FIXED_BYTES = 1024, 56, 2 ** 18
 _MASK64 = (1 << 64) - 1
 
@@ -71,23 +79,41 @@ def _workers(workers: int | None) -> int:
     return int(os.environ.get("SPINFLUX_WORKERS", "1")) if workers is None else workers
 
 
-def ensemble_bytes(dim: int, jumps: int, observable_nnz: list, points: int,
-                   realizations: int, mixed: bool, workers: int | None = None) -> int:
-    """Bytes ``run_ensemble`` allocates: the kernel, the eigenvectors of a
-    ``mixed`` start, the CSR observables (``observable_nnz`` non-zeros each),
-    and per batch in flight, one per worker process, its samples and states."""
+def ensemble_bytes(sectors: list, jumps: int, jump_nnz: int, observable_nnz: list,
+                   points: int, realizations: int, mixed: bool,
+                   diagonalized: bool = False, workers: int | None = None) -> int:
+    """Bytes ``run_ensemble`` allocates: the kernel, for blocks of H_eff of
+    the sizes ``sectors`` (and the dense H_eff unless the jump terms are
+    ``diagonalized`` already), a ``mixed`` start's eigendecomposition, the
+    CSR jumps and decay (``jump_nnz`` non-zeros) and observables
+    (``observable_nnz`` non-zeros each), and per batch in flight, one per
+    worker process, its samples and states."""
+    dim = sum(sectors)
     batch = min(BATCH_SIZE, realizations)
     per_batch = (batch * (8 * len(observable_nnz) * points + STREAM_BYTES
-                          + 16 * (BATCH_STATE_VECTORS * dim + jumps * (2 * dim + 1)))
+                          + 16 * (BATCH_STATE_VECTORS * dim + jumps * (dim + 2)))
                  + 16 * dim * BATCH_SAMPLE_VECTORS * min(BATCH_SIZE, batch * points))
-    csr = sum(CSR_BYTES_PER_NONZERO * nnz + 8 * (dim + 1) for nnz in observable_nnz)
-    return (ENSEMBLE_FIXED_BYTES + dense_bytes(dim, KERNEL_DENSE_MATRICES + mixed) + csr
+    csr = (CSR_BYTES_PER_NONZERO * (jump_nnz + sum(observable_nnz))
+           + 8 * (dim + 1) * (jumps + 1 + len(observable_nnz)))
+    fresh = not diagonalized
+    dense = max(MIXED_START_MATRICES * mixed, mixed + HEFF_DENSE_MATRICES * fresh)
+    blocks = fresh * 16 * KERNEL_BLOCK_MATRICES * sum(b * b for b in sectors)
+    return (ENSEMBLE_FIXED_BYTES + blocks + dense_bytes(dim, dense) + csr
             + min(_workers(workers), -(-realizations // BATCH_SIZE)) * per_batch)
 
 
 def _norms2(psi: np.ndarray) -> np.ndarray:
     """Squared norm of each column of ``psi``."""
     return np.einsum("ij,ij->j", psi.conj(), psi).real
+
+
+def _by_block(blocks: list, x: np.ndarray) -> np.ndarray:
+    """``x`` with ``m @ x[rows]`` in place of its ``rows`` for each ``(rows,
+    m)`` of ``blocks``; the other rows are copied unchanged."""
+    out = x.copy()
+    for rows, m in blocks:
+        np.dot(m, x[rows], out=out[rows])
+    return out
 
 
 def split_seed(master_seed: int, index: int) -> int:
@@ -133,12 +159,16 @@ class _BatchKernel:
     """Event-driven propagation for one (jump terms, grid) pair, from t = 0
     along ``linspace(0, t_max, N)`` (``operators.time_grid``).
 
-    States are held in coordinates ``x`` with amplitudes ``psi = V x``:
-    eigen-coordinates on diagonalizable blocks of H_eff, and plain amplitudes
-    (``V = 1``) on the blocks advanced by ``expm``.  The dense matrices ``v``
-    and ``v_inv`` are ``terms.eigenblocks`` scattered into place; the stacked
-    jumps and ``decay``, which on amplitudes gives minus the rate of change
-    of the squared norm, are the CSR ones of ``terms``.
+    States are held in sector order, ``psi[order]`` with ``order`` the
+    concatenated index sets of ``terms.eigenblocks``, so each block of H_eff
+    is one contiguous slice of rows.  On that slice they are held in
+    coordinates ``x`` with amplitudes ``psi = V x``: eigen-coordinates on a
+    diagonalizable block, and plain amplitudes on a block advanced by
+    ``expm`` or of size 1 (where ``V = V_inv = [[1]]``).  ``V x`` and
+    ``V_inv psi`` are one product per block, so no d x d matrix is formed.
+    The stacked jumps and ``decay``, which on amplitudes gives minus the rate
+    of change of the squared norm, are the CSR ones of ``terms`` in sector
+    order, and so are the observables of ``sector_csr``.
 
     A batch takes one round per jump, whatever the grid: each round advances
     every active column from its last jump to the grid's end, finishes the
@@ -153,37 +183,53 @@ class _BatchKernel:
         self.times = time_grid(times)
         self.dim = dim = terms.hamiltonian.dim
         self.rates = np.array(terms.rates)
-        self.stacked, self.decay = terms.stacked, terms.decay
-        # the eigensystem first, so that H_eff is gone before v and v_inv exist
-        self.expm_blocks = [b for b in terms.eigenblocks if len(b) == 2]
+        self.order = np.concatenate([idx for idx, *_ in terms.eigenblocks])
         self.eigenvalues = np.zeros(dim, dtype=complex)
-        self.v, self.v_inv = np.zeros((2, dim, dim), dtype=complex)
+        # (rows, V) and (rows, V_inv) of each eigen block past size 1, and
+        # (rows, block of H_eff) of each block advanced by expm
+        self.eigvecs, self.eigvecs_inv, self.expm_blocks = [], [], []
+        start = 0
         for idx, *eig in terms.eigenblocks:
-            if len(eig) == 3:
-                square = np.ix_(idx, idx)
-                self.eigenvalues[idx], self.v[square], self.v_inv[square] = eig
-            else:
-                self.v[idx, idx] = self.v_inv[idx, idx] = 1.0
+            rows = slice(start, start + len(idx))
+            start = rows.stop
+            if len(eig) == 1:
+                self.expm_blocks.append((rows, eig[0]))
+                continue
+            self.eigenvalues[rows] = eig[0]
+            if len(idx) > 1:
+                self.eigvecs.append((rows, eig[1]))
+                self.eigvecs_inv.append((rows, eig[2]))
+        self.stacked = self.sector_csr(terms.stacked)
+        self.decay = self.sector_csr(terms.decay)
+
+    def sector_csr(self, mat) -> scipy.sparse.csr_array:
+        """``mat``, a dense or sparse d x d matrix or a stack of them, as CSR
+        with the rows of each d x d block and the columns in sector order."""
+        rows = (np.arange(mat.shape[0] // self.dim)[:, None] * self.dim
+                + self.order).ravel()
+        return scipy.sparse.csr_array(mat)[rows][:, self.order]
 
     def run(self, psi0: np.ndarray, rngs: list, jump_log: list | None = None,
             jump_counts: np.ndarray | None = None):
-        """Propagate a batch (columns of psi0) to the end of the grid.
+        """Propagate a batch (columns of psi0, in sector order) to the end of
+        the grid.
 
-        Yields ``(grid indices, columns, normalized states)`` blocks that
-        hold every (grid time, column) pair once.  When ``jump_log`` is given
+        Yields ``(grid indices, columns, normalized states)`` blocks, the
+        states in sector order, that hold every (grid time, column) pair
+        once.  When ``jump_log`` is given
         (one list per column), each column's jump events are appended to its
         list as (time, channel) pairs; ``jump_counts`` (one entry per
         channel) gains every jump.
         """
         thresholds = np.array([rng.random() for rng in rngs])
-        x = self.v_inv @ psi0
+        x = _by_block(self.eigvecs_inv, psi0)
         start = np.zeros(x.shape[1])
         first = np.zeros(x.shape[1], dtype=int)  # first grid index not sampled
         active = np.arange(x.shape[1])
         while active.size:
             seg = x[:, active]
             spans = self.times[-1] - start[active]
-            norms2 = _norms2(self.v @ self._advance(seg, spans))
+            norms2 = _norms2(_by_block(self.eigvecs, self._advance(seg, spans)))
             crossed = norms2 <= thresholds[active]
             bad = np.flatnonzero(~crossed & (norms2 < NORM_COLLAPSE))
             if bad.size:
@@ -203,7 +249,8 @@ class _BatchKernel:
                 k = np.arange(b, min(b + BATCH_SIZE, ends[-1]))
                 w = np.searchsorted(ends, k, side="right")
                 g = last[w] - ends[w] + k
-                psi = self.v @ self._advance(seg[:, w], self.times[g] - start[active[w]])
+                psi = _by_block(self.eigvecs, self._advance(
+                    seg[:, w], self.times[g] - start[active[w]]))
                 yield g, active[w], psi / np.sqrt(_norms2(psi))
             first[active] = last
             if not jumping.size:
@@ -221,9 +268,9 @@ class _BatchKernel:
     def _advance(self, x: np.ndarray, dt: np.ndarray) -> np.ndarray:
         """Coordinates of each column of ``x`` after its own time ``dt``."""
         out = np.exp(np.multiply.outer(-1j * self.eigenvalues, dt)) * x
-        for idx, block in self.expm_blocks:
+        for rows, block in self.expm_blocks:
             flows = scipy.linalg.expm(-1j * dt[:, None, None] * block)
-            out[idx] = np.einsum("jab,bj->aj", flows, x[idx])
+            out[rows] = np.einsum("jab,bj->aj", flows, x[rows])
         return out
 
     def _crossing_time(self, x: np.ndarray, thresholds: np.ndarray,
@@ -241,7 +288,7 @@ class _BatchKernel:
         lo = np.zeros_like(spans)
         hi = spans.copy()
         log_u = np.log(thresholds)
-        start_norms2 = _norms2(self.v @ x)
+        start_norms2 = _norms2(_by_block(self.eigvecs, x))
         # exact for a single decay rate: the norm is then exp(-rate * tau)
         with np.errstate(divide="ignore", invalid="ignore"):
             tau = spans * (np.log(start_norms2 / thresholds)
@@ -249,7 +296,7 @@ class _BatchKernel:
         tau = np.where(np.isfinite(tau), np.clip(tau, lo, hi), 0.5 * hi)
         todo = np.arange(len(spans))
         for _ in range(MAX_ROOT_ITERATIONS):
-            psi = self.v @ self._advance(x[:, todo], tau[todo])
+            psi = _by_block(self.eigvecs, self._advance(x[:, todo], tau[todo]))
             norms2 = _norms2(psi)
             with np.errstate(divide="ignore", invalid="ignore"):
                 f = np.log(norms2) - log_u[todo]
@@ -274,11 +321,17 @@ class _BatchKernel:
               thresholds: np.ndarray) -> tuple:
         """Apply one jump to each column of ``x``; return the normalized
         post-jump coordinates and the channels.  Each column draws its
-        channel and then its next threshold from its own stream."""
+        channel and then its next threshold from its own stream.  The
+        weights are taken ``JUMP_CHANNEL_CHUNK`` channels at a time, so only
+        that many channels' branches are conjugated at once, and only the
+        chosen branch of each column outlives the draw."""
         count = len(self.rates)
-        branches = (self.stacked @ (self.v @ x)).reshape(count, self.dim, -1)
-        weights = self.rates[:, None] * np.einsum(
-            "kij,kij->kj", branches.conj(), branches).real
+        branches = (self.stacked @ _by_block(self.eigvecs, x)).reshape(
+            count, self.dim, -1)
+        weights = self.rates[:, None] * np.concatenate(
+            [np.einsum("kij,kij->kj", part.conj(), part).real
+             for part in (branches[k:k + JUMP_CHANNEL_CHUNK]
+                          for k in range(0, count, JUMP_CHANNEL_CHUNK))])
         total = weights.sum(axis=0)
         if not np.all(total > 0.0):
             raise NormCollapseError(
@@ -289,8 +342,9 @@ class _BatchKernel:
         channels = np.minimum(below.sum(axis=0), count - 1)
         thresholds[cols] = draws[:, 1]
         new = branches[channels, :, np.arange(len(cols))].T
+        del branches
         new /= np.linalg.norm(new, axis=0)
-        return self.v_inv @ new, channels
+        return _by_block(self.eigvecs_inv, new), channels
 
 
 def evolve_trajectory(h_eff: Operator, terms: LindbladTerms, psi0: np.ndarray,
@@ -306,8 +360,8 @@ def evolve_trajectory(h_eff: Operator, terms: LindbladTerms, psi0: np.ndarray,
     rng = _rng_for(seed)
     jump_log = [[]]
     states = np.empty((len(kernel.times), kernel.dim), dtype=complex)
-    for grid, _, block in kernel.run(psi0, [rng], jump_log):
-        states[grid] = block.T
+    for grid, _, block in kernel.run(psi0[kernel.order], [rng], jump_log):
+        states[np.ix_(grid, kernel.order)] = block.T  # back to the basis order
     events = np.array(jump_log[0]).reshape(-1, 2)
     return Trajectory(states, events[:, 0], events[:, 1].astype(int))
 
@@ -343,7 +397,7 @@ def _run_batch(kernel: _BatchKernel, obs_mats: list, vectors: np.ndarray,
     else:
         picks = [min(int(np.searchsorted(cum, rng.random(), side="right")),
                      len(cum) - 1) for rng in rngs]
-    psi0 = vectors.take(picks, axis=1)
+    psi0 = vectors[np.ix_(kernel.order, picks)]  # in the kernel's sector order
 
     vals = np.empty((len(obs_mats), len(kernel.times), count))
     jumps = np.zeros(len(kernel.rates), dtype=int)
@@ -380,14 +434,18 @@ def run_ensemble(terms: LindbladTerms, initial, times: np.ndarray,
             raise ValueError(f"observable {name!r} must be flagged hermitian")
     workers = _workers(workers)
     nnz = [np.count_nonzero(op.matrix) for op in observables.values()]
-    require_memory(ensemble_bytes(dim, len(terms), nnz, len(times), realizations,
-                                  isinstance(initial, Operator), workers),
+    require_memory(ensemble_bytes([len(idx) for idx in terms.blocks], len(terms),
+                                  terms.stacked.nnz + terms.decay.nnz, nnz, len(times),
+                                  realizations, isinstance(initial, Operator),
+                                  # a cached_property is in __dict__ once computed
+                                  "eigenblocks" in vars(terms), workers),
                    f"a trajectory ensemble at dimension {dim} with "
                    f"{len(nnz)} observable(s)")
     vectors, cum = _initial_states(initial)
-    obs_mats = [scipy.sparse.csr_array(op.matrix) for op in observables.values()]
+    kernel = _BatchKernel(terms, times)
+    obs_mats = [kernel.sector_csr(op.matrix) for op in observables.values()]
 
-    batch_args = (_BatchKernel(terms, times), obs_mats, vectors, cum, master_seed)
+    batch_args = (kernel, obs_mats, vectors, cum, master_seed)
     spans = [(s, min(BATCH_SIZE, realizations - s))
              for s in range(0, realizations, BATCH_SIZE)]
 

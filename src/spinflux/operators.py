@@ -224,7 +224,8 @@ def eig_hermitian(a: Operator) -> EigenSystem:
 
     Each connected block of the non-zero pattern (for the chain Hamiltonian,
     each total-S_z sector) is diagonalized on its own, so every eigenvector
-    is exactly zero outside its block.  Eigenvalues come back ascending.
+    is exactly zero outside its block; the blocks of one size go to
+    ``np.linalg.eigh`` in one stack.  Eigenvalues come back ascending.
     Each eigenvector's phase is fixed so its first component of
     non-negligible magnitude is real positive; exact eigenvalue ties are
     ordered lexicographically by the phase-fixed vectors.  This keeps
@@ -234,11 +235,16 @@ def eig_hermitian(a: Operator) -> EigenSystem:
         raise ValueError("eig_hermitian requires an operator flagged hermitian")
     vals = np.empty(a.dim)
     vecs = np.zeros((a.dim, a.dim), dtype=complex)
-    start = 0
-    for idx in connected_blocks(a.matrix):
-        cols = slice(start, start + len(idx))
-        vals[cols], vecs[idx, cols] = np.linalg.eigh(a.matrix[np.ix_(idx, idx)])
-        start += len(idx)
+    blocks = connected_blocks(a.matrix)
+    sizes = np.array([len(idx) for idx in blocks])
+    starts = np.cumsum(sizes) - sizes  # each block's first column
+    for size in np.unique(sizes):
+        members = np.flatnonzero(sizes == size)
+        rows = np.stack([blocks[m] for m in members])  # (blocks, size)
+        cols = starts[members, None] + np.arange(size)
+        vals[cols], block_vecs = np.linalg.eigh(a.matrix[rows[:, :, None],
+                                                         rows[:, None, :]])
+        vecs[rows[:, :, None], cols[:, None, :]] = block_vecs
     vecs = _fix_phases(vecs)
     order = _stable_order(vals, vecs)
     return EigenSystem(vals[order], np.ascontiguousarray(vecs[:, order]))

@@ -344,14 +344,17 @@ class TestFailureModes:
         assert record["exit_code"] == 3
 
     def test_mcwf_memory_preflight_exit_code_and_record(self, tmp_path, monkeypatch):
-        # at d = 8, run_ensemble's count for 5 observables of 8 non-zeros,
-        # 2 jumps, 9 points and one batch of 256 of the 300 trajectories from
-        # a mixed start: 262144 fixed bytes, 5 * 1024 of dense matrices,
-        # 5 * 520 of CSR observables and a batch of 256 * 3208 + 196608;
+        # at d = 8, run_ensemble's count for the sectors 1, 3, 3, 1, 2 jumps
+        # and the decay with 3 * 8 non-zeros, 5 observables of 8 non-zeros, 9
+        # points and one batch of 256 of the 300 trajectories from a mixed
+        # start on fresh terms: 262144 fixed bytes, 4 * 16 * 20 of kernel
+        # blocks, 4 * 1024 of dense matrices, 56 * (24 + 40) + 8 * 9 * 8 of CSR
+        # matrices and a batch of 256 * (360 + 1024 + 16 * 100) + 196608;
         # then the CLI's dense rho0, 5 observables, H and 2 jumps, 9 * 1024,
-        # and building one more, 4 * 1024 + 1024 + 8192.  In all 1310248 bytes
+        # and building one more, 4 * 1024 + 1024 + 8192.  In all
+        # 262144 + 1280 + 4096 + 4160 + 960512 + 9216 + 13312 = 1254720 bytes
         monkeypatch.delenv("SPINFLUX_WORKERS", raising=False)
-        monkeypatch.setattr(operators, "available_memory", lambda: 1310247)
+        monkeypatch.setattr(operators, "available_memory", lambda: 1254719)
         cfg = write_config(tmp_path, BASE + "mode = mcwf\nvariant = weak_coupling\n")
         out = tmp_path / "o"
         with monkeypatch.context() as m:
@@ -362,7 +365,7 @@ class TestFailureModes:
         assert record["error"] == "DimensionError"
         assert record["exit_code"] == 3
         assert not (out / "mcwf.csv").exists()
-        monkeypatch.setattr(operators, "available_memory", lambda: 1310248)
+        monkeypatch.setattr(operators, "available_memory", lambda: 1254720)
         assert main(["run", str(cfg), "--out", str(out)]) == 0
 
     @pytest.mark.parametrize("mode", ["steady", "evolve", "compare"])

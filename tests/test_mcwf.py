@@ -275,7 +275,8 @@ class TestBlocks:
                               hamiltonian=h)
         grid = np.linspace(0.0, 6.0, 13)
         kernel = _BatchKernel(terms, grid)
-        assert [list(idx) for idx, _ in kernel.expm_blocks] == [[0, 1]]
+        # the block's rows in sector order, mapped back to basis indices
+        assert [list(kernel.order[rows]) for rows, _ in kernel.expm_blocks] == [[0, 1]]
 
         eye = np.eye(2)
         L = pauli("minus").matrix
@@ -318,6 +319,70 @@ class TestBlocks:
         evolve_trajectory(h_eff, fresh, psi0, grid, seed=1)
         run_ensemble(fresh, rho0, grid, obs, 16, 5)
         assert len(eig_calls) == 8
+
+
+class TestSectorOrder:
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_jump_free_run_matches_expm_from_every_basis_state(self, n):
+        # the kernel holds states in sector order, which differs from the
+        # basis order at n = 3 and 4; with rates ~1e-9 no jump fires, and
+        # every sample must be exp(-i H_eff t) psi0, normalized, in the basis
+        # order, from evolve_trajectory and from run_ensemble alike
+        chain = ChainSpec(n=n, field=1.0, exchange=0.01)
+        weak = [BathSpec(beta=b.beta, coupling=1e-9, side=b.side)
+                for b in (LEFT, RIGHT)]
+        terms = Generator("weak_coupling", chain, *weak).lindblad_terms()
+        h_eff = terms.effective_hamiltonian()
+        grid = np.linspace(0.0, 40.0, 9)
+        kernel = _BatchKernel(terms, grid)
+        assert not np.array_equal(kernel.order, np.arange(chain.dim))
+        flows = np.array([scipy.linalg.expm(-1j * t * h_eff) for t in grid])
+        # populations catch a permuted state, the bond currents its phases
+        obs = {f"p{j}": Operator(np.diag(np.eye(chain.dim)[j]).astype(complex),
+                                 hermitian=True) for j in range(chain.dim)}
+        obs.update({f"j{b}": reported_current_operator(chain, b)
+                    for b in range(1, n)})
+        for k, psi0 in enumerate(np.eye(chain.dim, dtype=complex)):
+            want = flows[:, :, k] / np.linalg.norm(flows[:, :, k], axis=1)[:, None]
+            traj = evolve_trajectory(Operator(h_eff), terms, psi0, grid,
+                                     seed=split_seed(7, k))
+            assert traj.jump_times.size == 0
+            assert np.abs(traj.states - want).max() <= 1e-12
+            res = run_ensemble(terms, psi0, grid, obs, realizations=1, master_seed=k)
+            assert res.jump_counts.sum() == 0
+            for name, op in obs.items():
+                exact = np.einsum("ti,ij,tj->t", want.conj(), op.matrix, want).real
+                assert np.abs(res.means[name] - exact).max() <= 1e-12
+
+    def test_kernel_holds_no_dense_matrix(self):
+        # every array the kernel keeps, sparse ones included, has fewer
+        # than d^2 entries: at n = 5 the largest sector has 10 states
+        chain = ChainSpec(n=5, field=1.0, exchange=0.01)
+        terms = Generator("weak_coupling", chain, LEFT, RIGHT).lindblad_terms()
+        kernel = _BatchKernel(terms, np.linspace(0.0, 40.0, 5))
+
+        def arrays(value):
+            if isinstance(value, np.ndarray):
+                yield value
+            elif scipy.sparse.issparse(value):
+                yield from (value.data, value.indices, value.indptr)
+            elif isinstance(value, (list, tuple)):
+                for item in value:
+                    yield from arrays(item)
+
+        held = list(arrays(list(vars(kernel).values())))
+        assert len(held) > 10
+        assert max(a.size for a in held) < chain.dim ** 2
+
+    def test_size_one_blocks_have_unit_eigenvectors(self):
+        # the kernel skips the product on a block of size 1, which is exact
+        # only because LAPACK returns V = V^-1 = [[1]] there
+        terms = Generator("local_diag", ChainSpec(n=4, field=1.0, exchange=0.01),
+                          LEFT, RIGHT).lindblad_terms()
+        ones = [eig for idx, *eig in terms.eigenblocks if len(idx) == 1]
+        assert len(ones) == 2
+        for _, v, v_inv in ones:
+            assert v.tolist() == v_inv.tolist() == [[1.0]]
 
 
 class TestEnsemble:
@@ -434,18 +499,21 @@ class TestEnsemble:
         assert len(calls) == 1
 
     def test_memory_preflight_refuses_before_allocating(self, monkeypatch):
-        # d = 2, one jump channel, one observable with 2 non-zeros, 2 points,
-        # 1 trajectory from a pure state: 262144 fixed bytes, 4 * 64 bytes of
-        # kernel matrices, 56 * 2 + 8 * 3 bytes of CSR observable, and one
-        # batch: (8 * 2 + 1024 + 16 * (10 * 2 + 5)) bytes for the trajectory
-        # and 16 * 2 * 6 * 2 bytes for its 2 samples' states = 264360 bytes
-        monkeypatch.setattr(operators, "available_memory", lambda: 264359)
+        # d = 2 in two blocks of size 1, one jump channel, jumps and decay
+        # with 1 non-zero each, one observable with 2 non-zeros, 2 points, 1
+        # trajectory from a pure state on fresh terms: 262144 fixed bytes,
+        # 4 * 16 * (1 + 1) bytes of kernel blocks and 2 * 64 of dense H_eff,
+        # 56 * (2 + 2) + 8 * 3 * 3 bytes of CSR jumps, decay and observable,
+        # and one batch: (8 * 2 + 1024 + 16 * (10 * 2 + 1 * (2 + 2))) bytes for
+        # the trajectory and 16 * 2 * 6 * 2 bytes for its 2 samples' states,
+        # 262144 + 128 + 128 + 296 + 1424 + 384 = 264504 bytes
+        monkeypatch.setattr(operators, "available_memory", lambda: 264503)
         with pytest.raises(DimensionError, match="memory available"):
             run_ensemble(damping_terms(), EXCITED, np.array([0.0, 1.0]),
                          {"sz": pauli("z")}, realizations=1, master_seed=1)
 
     def test_memory_preflight_passes_when_memory_suffices(self, monkeypatch):
-        monkeypatch.setattr(operators, "available_memory", lambda: 264360)
+        monkeypatch.setattr(operators, "available_memory", lambda: 264504)
         run_ensemble(damping_terms(), EXCITED, np.array([0.0, 1.0]),
                      {"sz": pauli("z")}, realizations=1, master_seed=1)
 
@@ -453,7 +521,7 @@ class TestEnsemble:
         # the bytes above with a batch of 256 trajectories whose float64
         # samples fill 8 bytes * 1 observable * 20001 points each, and
         # 256 columns of sample states
-        total = (262144 + 256 + 136 + 256 * (8 * 20001 + 1024 + 16 * 25)
+        total = (262144 + 128 + 128 + 296 + 256 * (8 * 20001 + 1024 + 16 * 24)
                  + 16 * 2 * 6 * 256)
         monkeypatch.delenv("SPINFLUX_WORKERS", raising=False)
         monkeypatch.setattr(operators, "available_memory", lambda: total - 1)
@@ -478,16 +546,17 @@ class TestEnsemble:
                 run_ensemble(damping_terms(), EXCITED, np.linspace(0.0, 20.0, 101),
                              {"sz": pauli("z")}, realizations=512, master_seed=1,
                              workers=workers)
-        batch = 256 * (8 * 101 + 1024 + 16 * 25) + 16 * 2 * 6 * 256
+        batch = 256 * (8 * 101 + 1024 + 16 * 24) + 16 * 2 * 6 * 256
         assert required[1] - required[0] == batch
         assert required[2] == required[1]  # only two batches to run
 
     @staticmethod
-    def traced_peak_and_count(monkeypatch, start, n, used):
+    def traced_peak_and_count(monkeypatch, start, n, used, variant="weak_coupling",
+                              realizations=8):
         """tracemalloc peak of one n-site run_ensemble and the bytes it
         required; with ``used`` the jump terms have served a run before."""
         chain = ChainSpec(n=n, field=1.0, exchange=0.01)
-        gen = Generator("weak_coupling", chain, LEFT, RIGHT)
+        gen = Generator(variant, chain, LEFT, RIGHT)
         terms = gen.lindblad_terms()
         obs = {"j": reported_current_operator(chain, 1)}
         if start == "pure":
@@ -504,7 +573,8 @@ class TestEnsemble:
                             lambda nbytes, what: required.append(nbytes))
         tracemalloc.start()
         try:
-            run_ensemble(terms, initial, grid, obs, realizations=8, master_seed=3)
+            run_ensemble(terms, initial, grid, obs, realizations=realizations,
+                         master_seed=3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -525,6 +595,24 @@ class TestEnsemble:
                                                                start, n):
         peak, count = self.traced_peak_and_count(monkeypatch, start, n, used=True)
         assert peak <= count
+
+    def test_used_terms_at_ten_sites_peak_below_one_dense_matrix(self, monkeypatch):
+        # the kernel multiplies by each sector's V and V^-1 and forms no d x d
+        # matrix: 1.5 MiB against 16 MiB for one, and 33.4 MiB when the
+        # kernel held a dense V and V^-1
+        peak, count = self.traced_peak_and_count(monkeypatch, "pure", 10, used=True)
+        assert peak <= count
+        assert peak < 16 * 1024 ** 2
+
+    def test_secular_jump_conjugates_no_copy_of_every_branch(self, monkeypatch):
+        # 300 n=5 secular trajectories: a jump round of the first batch holds
+        # 310 channels' branches of 256 columns, 38.75 MiB.  A conjugate copy
+        # of all of them for the weights doubled that, to a 79.7 MiB peak
+        peak, count = self.traced_peak_and_count(
+            monkeypatch, "maximally_mixed", 5, used=False, variant="secular",
+            realizations=300)
+        assert peak <= count
+        assert peak < 48 * 1024 ** 2
 
     def test_jump_free_run_stays_within_preflight(self, monkeypatch):
         # n=9 on a 401-point grid without jumps: the samples of 16

@@ -196,6 +196,29 @@ class TestEigHermitian:
         assert np.array_equal(eig.eigenvalues, vals[order])
         assert np.array_equal(eig.eigenvectors, vecs[:, order])
 
+    @pytest.mark.parametrize("kind, size", [
+        *(("mixed", d) for d in (8, 256, 1024)),
+        *(("chain", n) for n in (3, 4, 5, 8, 10))])
+    def test_stacked_blocks_match_one_eigh_per_block(self, kind, size):
+        # the blocks of one size are diagonalized in one stacked eigh call;
+        # the result is that of one call per block, bit for bit: 1/d has d
+        # blocks of size 1, the chain H its total-S_z sectors
+        a = (Operator(np.eye(size, dtype=complex) / size, hermitian=True)
+             if kind == "mixed"
+             else build_hamiltonian(ChainSpec(n=size, field=1.0, exchange=0.01)))
+        vals = np.empty(a.dim)
+        vecs = np.zeros((a.dim, a.dim), dtype=complex)
+        start = 0
+        for idx in operators.connected_blocks(a.matrix):
+            cols = slice(start, start + len(idx))
+            vals[cols], vecs[idx, cols] = np.linalg.eigh(a.matrix[np.ix_(idx, idx)])
+            start += len(idx)
+        vecs = _fix_phases(vecs)
+        order = _stable_order(vals, vecs)
+        eig = eig_hermitian(a)
+        assert np.array_equal(eig.eigenvalues, vals[order])
+        assert np.array_equal(eig.eigenvectors, vecs[:, order])
+
 
 def tuple_tie_order(vals, vecs):
     """Reference tie order: each run of equal eigenvalues sorted by Python
