@@ -1,8 +1,9 @@
 """Spin-1/2 Heisenberg chain between two thermal contacts.
 
-Builds the chain pieces used everywhere else: the local-field Hamiltonian,
-the isotropic nearest-neighbor exchange, bond-resolved energy-current
-operators, and the spin-x contact operators at the chain ends.
+Builds the chain pieces used everywhere else: the Hamiltonian (local field
+plus isotropic nearest-neighbor exchange), the field term of one site,
+bond-resolved energy-current operators, and the spin-x contact operators at
+the chain ends.
 
 Conventions (hbar = k_B = 1):
 
@@ -74,32 +75,17 @@ def _field_terms(spec: ChainSpec, sites) -> list:
     return [(site, 0.5 * spec.field * PAULI["z"]) for site in sites]
 
 
-def _bond_terms(spec: ChainSpec, bonds) -> list:
-    return [(bond, spec.exchange * _PAIR) for bond in bonds]
-
-
 def build_local_hamiltonian_site(spec: ChainSpec, site: int) -> Operator:
     """(field/2) sigma_z at one site, embedded in the full chain."""
     _check_site(spec, site)
     return Operator(embedded_sum(_field_terms(spec, [site]), spec.n), hermitian=True)
 
 
-def build_local_hamiltonian(spec: ChainSpec) -> Operator:
-    """Sum of the per-site field terms."""
-    return Operator(embedded_sum(_field_terms(spec, range(1, spec.n + 1)), spec.n),
-                    hermitian=True)
-
-
-def build_interaction(spec: ChainSpec) -> Operator:
-    """Isotropic nearest-neighbor exchange over all bonds."""
-    return Operator(embedded_sum(_bond_terms(spec, range(1, spec.n)), spec.n),
-                    hermitian=True)
-
-
 def build_hamiltonian(spec: ChainSpec) -> Operator:
     """H_loc + V, each summed in site (bond) order before the two are added."""
     h = embedded_sum(_field_terms(spec, range(1, spec.n + 1)), spec.n)
-    h += embedded_sum(_bond_terms(spec, range(1, spec.n)), spec.n)
+    h += embedded_sum([(bond, spec.exchange * _PAIR) for bond in range(1, spec.n)],
+                      spec.n)
     return Operator(h, hermitian=True)
 
 

@@ -20,9 +20,10 @@ counts of the code that allocates; a size known only once something is built
 (the Liouvillian's non-zeros, secular's Bohr groups) is checked there.
 
 Exit codes: 0 success, 2 configuration error (including a configuration file
-that cannot be read or decoded), 3 solver failure (including a chain too
-long for Liouville-space solves, and a run whose memory count exceeds the
-memory available).
+that cannot be read or decoded, and in ``mcwf`` and ``compare`` mode a
+SPINFLUX_WORKERS that is not an integer >= 1), 3 solver failure (including a
+chain too long for Liouville-space solves, and a run whose memory count
+exceeds the memory available).
 """
 
 from __future__ import annotations
@@ -37,13 +38,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import (MODES, ConfigError, RunConfig, config_hash, parse_config,
-                     with_overrides)
+from .config import MODES, RunConfig, config_hash, parse_config, with_overrides
 from .chain import build_local_hamiltonian_site
 from .dissipators import LOCAL_JUMPS, VARIANTS, Generator, VariantError
-from .liouville import (SolverError, Superoperator, assemble, coordinates,
-                        propagate, require_sites, steady_state)
-from .mcwf import NormCollapseError, ensemble_bytes, run_ensemble
+from .liouville import (PROPAGATE_BYTES_PER_ENTRY, SolverError, Superoperator,
+                        assemble, coordinates, propagate, require_sites,
+                        steady_state)
+from .mcwf import NormCollapseError, ensemble_bytes, run_ensemble, worker_count
 from .observables import gibbs_state, reported_current_operator, transport_report
 from .operators import (DimensionError, EigenSystem, Operator, dense_bytes,
                         embedded_bytes, require_memory)
@@ -119,12 +120,16 @@ def _steady_payload(config: RunConfig, s: Superoperator, basis: EigenSystem) -> 
 
 def _check_limits(config: RunConfig) -> None:
     """Refuse a run over a limit of its mode before anything is built: the
-    site cap, and the memory of the ensemble, the dense operators held (rho0,
-    the observables, which have at most one non-zero per row, H and the jumps
-    of each generator) and building one more."""
+    site cap; the memory of the time grid and the propagated states; and the
+    memory of the ensemble, the dense operators held (rho0, the observables,
+    which have at most one non-zero per row, H and the jumps of each
+    generator) and building one more."""
     n, d = config.chain.n, config.chain.dim
     if config.mode != "mcwf":
         require_sites(n)
+    if config.mode == "evolve":
+        require_memory((config.steps + 1) * (8 + PROPAGATE_BYTES_PER_ENTRY * d * d),
+                       f"evolve mode on {n} sites over {config.steps + 1} points")
     if config.mode in ("mcwf", "compare"):
         obs, jumps, gens = ((2 * n - 1, LOCAL_JUMPS.get(config.variant, 0), 1)
                             if config.mode == "mcwf"
@@ -235,7 +240,10 @@ def main(argv: list[str] | None = None) -> int:
         config = with_overrides(config, mode=args.mode, variant=args.variant,
                                 output_dir=args.out, master_seed=args.seed,
                                 realizations=args.realizations)
-    except (OSError, UnicodeDecodeError, ConfigError) as exc:
+        if config.mode in ("mcwf", "compare"):
+            worker_count()
+    # a ConfigError, an undecodable file and a bad SPINFLUX_WORKERS are ValueErrors
+    except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         _write_error(config, args.out, exc, EXIT_CONFIG)
         return EXIT_CONFIG

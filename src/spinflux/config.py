@@ -161,6 +161,9 @@ def _build(v: dict) -> RunConfig:
     realizations = v["mcwf.realizations"]
     if mode in ("mcwf", "compare") and realizations < 1:
         raise ConfigError(f"mcwf.realizations must be >= 1, got {realizations}")
+    # the seed is the upper 64-bit half of each trajectory's Philox key
+    if not 0 <= v["mcwf.seed"] < 2 ** 64:
+        raise ConfigError(f"mcwf.seed must lie in [0, 2**64), got {v['mcwf.seed']}")
     nullspace_tol = v["tolerance.nullspace"]
     if not nullspace_tol > 0:
         raise ConfigError(f"tolerance.nullspace must be positive, got {nullspace_tol}")

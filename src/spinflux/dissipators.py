@@ -11,9 +11,10 @@ Four generator variants share one chain and one pair of baths:
 ``weak_coupling``
     Treats the contact operator's free evolution under the local field alone
     (valid for exchange << field), then splits the resulting 2x2 coefficient
-    matrix as gamma = gamma_a + gamma_b with det(gamma_a) = 0 and discards the
-    indefinite remainder gamma_b.  One jump operator per bath, Lindblad form,
-    and the stationary current survives.
+    matrix (``gamma_matrix``) as gamma = gamma_a + gamma_b with det(gamma_a)
+    = 0 (``split_gamma``) and discards the indefinite remainder gamma_b.  The
+    rank-1 gamma_a is one jump operator per bath, Lindblad form, and the
+    stationary current survives.
 ``local_diag``
     Same construction but zeroing the off-diagonal of gamma instead: the
     familiar two-jump local thermalizer, kept for comparison.
@@ -425,18 +426,16 @@ def _local_flip_operators(chain: ChainSpec, side: str) -> tuple[np.ndarray, np.n
 
 
 def _weak_coupling_jump(chain: ChainSpec, bath: BathSpec) -> tuple[float, np.ndarray]:
-    """Rank-1 part of the local coefficient matrix as a single jump channel.
-
-    gamma_a = v v^T with v = (sqrt(g11), sqrt(g22)), so its one positive
-    eigenvalue is tr(gamma_a) with unit eigenvector v/|v|; the jump operator
-    mixes the local raising and lowering operators with those weights.
+    """``split_gamma``'s rank-1 part gamma_a of the local coefficient matrix
+    as a single jump channel: its one positive eigenvalue, tr(gamma_a), is the
+    rate, and its unit eigenvector sqrt(diag(gamma_a) / tr(gamma_a)) weights
+    the local raising and lowering operators of the jump.
     """
-    g = gamma_matrix(bath, chain.field)
-    alpha = g[0, 0] + g[1, 1]
+    gamma_a, _ = split_gamma(gamma_matrix(bath, chain.field))
+    alpha = np.trace(gamma_a)
     site = contact_site(chain, bath.side)
     if alpha == 0.0:
         return 0.0, embedded_sum([(site, PAULI["minus"])], chain.n)
-    u1 = math.sqrt(g[0, 0] / alpha)
-    u2 = math.sqrt(g[1, 1] / alpha)
+    u1, u2 = np.sqrt(np.diag(gamma_a) / alpha)
     return alpha, embedded_sum([(site, u1 * PAULI["plus"] + u2 * PAULI["minus"])],
                                chain.n)

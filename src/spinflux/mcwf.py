@@ -28,11 +28,11 @@ bytes ``ensemble_bytes`` counts fit in the memory available.
 
 Reproducibility contract: trajectory ``r`` of a run with master seed ``m``
 draws from a private Philox stream keyed by the 128-bit integer
-``(m << 64) | r``: one threshold at the start, then per jump one channel
-draw followed by a new threshold.  Trajectories are simulated in fixed-size
-batches (``BATCH_SIZE`` columns of one matrix) and reduced in trajectory
-order, so the output bits depend only on (master seed, realizations, grid),
-never on the number of worker processes.
+``(m << 64) | r``, with m and r in [0, 2**64): one threshold at the start,
+then per jump one channel draw followed by a new threshold.  Trajectories
+are simulated in fixed-size batches (``BATCH_SIZE`` columns of one matrix)
+and reduced in trajectory order, so the output bits depend only on (master
+seed, realizations, grid), never on the number of worker processes.
 """
 
 from __future__ import annotations
@@ -68,15 +68,25 @@ JUMP_CHANNEL_CHUNK = 8
 KERNEL_BLOCK_MATRICES, HEFF_DENSE_MATRICES, MIXED_START_MATRICES = 4, 2, 4
 BATCH_STATE_VECTORS, BATCH_SAMPLE_VECTORS = 10, 6
 STREAM_BYTES, CSR_BYTES_PER_NONZERO, ENSEMBLE_FIXED_BYTES = 1024, 56, 2 ** 18
-_MASK64 = (1 << 64) - 1
 
 
 class NormCollapseError(RuntimeError):
     """The unnormalized state norm fell below the representable floor."""
 
 
-def _workers(workers: int | None) -> int:
-    return int(os.environ.get("SPINFLUX_WORKERS", "1")) if workers is None else workers
+def worker_count(workers: int | None = None) -> int:
+    """``workers``, or the SPINFLUX_WORKERS environment variable (default 1)
+    when it is None; ``ValueError``, naming the source, unless an integer >= 1."""
+    source = "workers"
+    if workers is None:
+        source, raw = "SPINFLUX_WORKERS", os.environ.get("SPINFLUX_WORKERS", "1")
+        try:
+            workers = int(raw)
+        except ValueError:
+            raise ValueError(f"SPINFLUX_WORKERS must be an integer, got {raw!r}") from None
+    if workers < 1:
+        raise ValueError(f"{source} must be >= 1, got {workers}")
+    return workers
 
 
 def ensemble_bytes(sectors: list, jumps: int, jump_nnz: int, observable_nnz: list,
@@ -99,7 +109,7 @@ def ensemble_bytes(sectors: list, jumps: int, jump_nnz: int, observable_nnz: lis
     dense = max(MIXED_START_MATRICES * mixed, mixed + HEFF_DENSE_MATRICES * fresh)
     blocks = fresh * 16 * KERNEL_BLOCK_MATRICES * sum(b * b for b in sectors)
     return (ENSEMBLE_FIXED_BYTES + blocks + dense_bytes(dim, dense) + csr
-            + min(_workers(workers), -(-realizations // BATCH_SIZE)) * per_batch)
+            + min(worker_count(workers), -(-realizations // BATCH_SIZE)) * per_batch)
 
 
 def _norms2(psi: np.ndarray) -> np.ndarray:
@@ -117,8 +127,12 @@ def _by_block(blocks: list, x: np.ndarray) -> np.ndarray:
 
 
 def split_seed(master_seed: int, index: int) -> int:
-    """Counter-based per-trajectory seed: 128-bit Philox key (master, index)."""
-    return ((master_seed & _MASK64) << 64) | (index & _MASK64)
+    """Counter-based per-trajectory seed: 128-bit Philox key (master, index).
+    Each half must lie in [0, 2**64), so distinct pairs give distinct keys."""
+    if not (0 <= master_seed < 2 ** 64 and 0 <= index < 2 ** 64):
+        raise ValueError(f"master seed {master_seed} or trajectory index {index} "
+                         "is outside [0, 2**64)")
+    return (master_seed << 64) | index
 
 
 def _rng_for(seed: int) -> np.random.Generator:
@@ -145,8 +159,10 @@ class TrajectoryEnsembleResult:
 
 
 def effective_hamiltonian(h: Operator, terms: LindbladTerms) -> Operator:
-    """``terms.effective_hamiltonian()`` as an Operator, for callers outside
-    the package that pass the Hamiltonian; ``h`` must be ``terms.hamiltonian``."""
+    """``terms.effective_hamiltonian()`` as an Operator; ``h`` must be
+    ``terms.hamiltonian``.  Kept only for the benchmark's jump sample
+    (``bench/workloads.py``), until ROADMAP item 6 counts its jumps with
+    ``run_ensemble``'s ``jump_counts``."""
     if h.dim != terms.hamiltonian.dim:
         raise DimensionError(f"hamiltonian dim {h.dim} != jump dim "
                              f"{terms.hamiltonian.dim}")
@@ -350,7 +366,9 @@ class _BatchKernel:
 def evolve_trajectory(h_eff: Operator, terms: LindbladTerms, psi0: np.ndarray,
                       times: np.ndarray, seed: int) -> Trajectory:
     """Single stochastic realization with full state and jump records;
-    ``h_eff`` must be ``terms.effective_hamiltonian()``."""
+    ``h_eff`` must be ``terms.effective_hamiltonian()``.  Kept only for the
+    benchmark's jump sample (``bench/workloads.py``), until ROADMAP item 6
+    counts its jumps with ``run_ensemble``'s ``jump_counts``."""
     psi0, _ = _initial_states(np.asarray(psi0))
     if psi0.shape[0] != h_eff.dim:
         raise DimensionError(f"state dim {psi0.shape[0]} != hamiltonian dim {h_eff.dim}")
@@ -432,7 +450,7 @@ def run_ensemble(terms: LindbladTerms, initial, times: np.ndarray,
             raise DimensionError(f"observable {name!r} dim {op.dim} != {dim}")
         if not op.hermitian:
             raise ValueError(f"observable {name!r} must be flagged hermitian")
-    workers = _workers(workers)
+    workers = worker_count(workers)
     nnz = [np.count_nonzero(op.matrix) for op in observables.values()]
     require_memory(ensemble_bytes([len(idx) for idx in terms.blocks], len(terms),
                                   terms.stacked.nnz + terms.decay.nnz, nnz, len(times),

@@ -1,6 +1,6 @@
-"""Physical quantities derived from states: currents, energies, comparison
-metrics, and ``transport_report``, the one builder of the stationary row
-that ``steady.json`` holds."""
+"""Physical quantities derived from states: currents, energies, the
+diagonality defect, the Gibbs state, and ``transport_report``, the one
+builder of the stationary row that ``steady.json`` holds."""
 
 from __future__ import annotations
 
@@ -47,14 +47,6 @@ def diagonality_defect(rho: Operator, basis: EigenSystem) -> float:
         raise DimensionError(f"state dim {rho.dim} != basis dim {u.shape[0]}")
     r = np.abs(u.conj().T @ rho.matrix @ u)
     return float(r.sum() - np.trace(r))
-
-
-def trace_distance(rho: Operator, sigma: Operator) -> float:
-    """Half the sum of singular values of rho - sigma; in [0, 1] for states."""
-    if rho.dim != sigma.dim:
-        raise DimensionError(f"dimension mismatch {rho.dim} vs {sigma.dim}")
-    return float(0.5 * np.linalg.svd(rho.matrix - sigma.matrix,
-                                     compute_uv=False).sum())
 
 
 def gibbs_state(eig: EigenSystem, beta: float) -> Operator:

@@ -129,6 +129,7 @@ class EigenSystem:
         return self.eigenvalues.shape[0]
 
 
+# read-only single-spin matrices; "plus" and "minus" are (x +- i y)/2
 PAULI = {
     "identity": np.eye(2, dtype=complex),
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -139,15 +140,6 @@ PAULI = {
 }
 for _m in PAULI.values():
     _m.flags.writeable = False
-
-
-def pauli(kind: str) -> Operator:
-    """Single-spin Pauli operator; ``plus``/``minus`` are (x ± i y)/2."""
-    try:
-        m = PAULI[kind]
-    except KeyError:
-        raise ValueError(f"unknown pauli kind {kind!r}; choose from {sorted(PAULI)}")
-    return Operator(m, hermitian=kind in ("identity", "x", "y", "z"))
 
 
 def embedded_sum(blocks, n: int) -> np.ndarray:

@@ -7,7 +7,6 @@ import pytest
 from spinflux import operators
 from spinflux.chain import (ChainSpec, build_coupling_operator,
                             build_current_operator, build_hamiltonian,
-                            build_interaction, build_local_hamiltonian,
                             build_local_hamiltonian_site)
 from spinflux.bath import BathSpec
 from spinflux.dissipators import Generator, _local_flip_operators
@@ -40,6 +39,12 @@ def oracle_hamiltonian(n, field, exchange):
     return h
 
 
+def interaction(spec):
+    """The exchange part V of the chain's Hamiltonian, H minus H at zero exchange."""
+    local = ChainSpec(n=spec.n, field=spec.field, exchange=0.0)
+    return build_hamiltonian(spec).matrix - build_hamiltonian(local).matrix
+
+
 class TestSpec:
     def test_requires_two_sites(self):
         with pytest.raises(ValueError, match="at least 2"):
@@ -67,19 +72,20 @@ class TestSpec:
 
 
 class TestLocalHamiltonian:
+    # H_loc is the Hamiltonian at zero exchange
     def test_two_site_matrix(self):
         spec = ChainSpec(n=2, field=1.0, exchange=0.0)
-        assert np.allclose(build_local_hamiltonian(spec).matrix,
+        assert np.allclose(build_hamiltonian(spec).matrix,
                            np.diag([1.0, 0.0, 0.0, -1.0]), atol=1e-15)
 
     def test_traceless(self):
-        spec = ChainSpec(n=4, field=2.5, exchange=0.01)
-        assert abs(np.trace(build_local_hamiltonian(spec).matrix)) <= 1e-12
+        spec = ChainSpec(n=4, field=2.5, exchange=0.0)
+        assert abs(np.trace(build_hamiltonian(spec).matrix)) <= 1e-12
 
     def test_three_site_spectrum(self):
         # enumeration oracle: energies (field/2) * sum of +-1 over 3 spins
         spec = ChainSpec(n=3, field=2.0, exchange=0.0)
-        eig = eig_hermitian(build_local_hamiltonian(spec))
+        eig = eig_hermitian(build_hamiltonian(spec))
         expected = sorted((2.0 / 2) * sum(1 - 2 * b for b in bits)
                           for bits in np.ndindex(2, 2, 2))
         assert np.allclose(eig.eigenvalues, expected, atol=1e-12)
@@ -96,17 +102,13 @@ class TestInteraction:
         # singlet/triplet oracle for sigma.sigma: eigenvalues {-3, 1, 1, 1}
         with pytest.warns(UserWarning):
             spec = ChainSpec(n=2, field=1.0, exchange=1.0)
-        eig = np.linalg.eigvalsh(build_interaction(spec).matrix)
+        eig = np.linalg.eigvalsh(interaction(spec))
         assert np.allclose(eig, [-3.0, 1.0, 1.0, 1.0], atol=1e-12)
-
-    def test_zero_exchange(self):
-        spec = ChainSpec(n=3, field=1.0, exchange=0.0)
-        assert np.abs(build_interaction(spec).matrix).max() == 0.0
 
     def test_conserves_magnetization(self):
         spec = ChainSpec(n=3, field=1.0, exchange=0.01)
         total_z = embedded_sum([(s, SZ) for s in range(1, 4)], 3)
-        v = build_interaction(spec).matrix
+        v = interaction(spec)
         resid = v @ total_z - total_z @ v
         assert np.abs(resid).max() <= 1e-13
 
@@ -119,8 +121,8 @@ class TestInteraction:
 class TestHamiltonian:
     def test_reduces_to_local_without_exchange(self):
         spec = ChainSpec(n=3, field=1.3, exchange=0.0)
-        assert np.array_equal(build_hamiltonian(spec).matrix,
-                              build_local_hamiltonian(spec).matrix)
+        site_sum = sum(build_local_hamiltonian_site(spec, s).matrix for s in (1, 2, 3))
+        assert np.array_equal(build_hamiltonian(spec).matrix, site_sum)
 
     def test_hermiticity(self):
         spec = ChainSpec(n=3, field=1.0, exchange=0.01)

@@ -427,6 +427,50 @@ class TestFailureModes:
         assert record["exit_code"] == 3
         assert not (out / "series.csv").exists()
 
+    def test_evolve_grid_refused_before_it_is_allocated(self, tmp_path, monkeypatch):
+        # 2e9 + 1 points of 8 bytes, and 16 * 64 bytes each for the propagated
+        # states, are about 1.9 TiB: refused before np.linspace makes the grid
+        monkeypatch.setattr(operators, "available_memory", lambda: 4 * 2 ** 30)
+        monkeypatch.setattr(np, "linspace",
+                            lambda *args, **kw: pytest.fail("allocated the grid"))
+        text = BASE.replace("time.steps = 8", "time.steps = 2000000000")
+        cfg = write_config(tmp_path, text + "mode = evolve\nvariant = weak_coupling\n")
+        out = tmp_path / "o"
+        assert main(["run", str(cfg), "--out", str(out)]) == 3
+        record = json.loads((out / "error.json").read_text())
+        assert record["error"] == "DimensionError" and record["exit_code"] == 3
+        assert "evolve mode on 3 sites over 2000000001 points" in record["message"]
+        assert not (out / "series.csv").exists()
+
+    @pytest.mark.parametrize("mode,value", [("mcwf", "abc"), ("mcwf", "0"),
+                                            ("compare", "-2")])
+    def test_bad_worker_count_is_a_config_error(self, tmp_path, monkeypatch, mode,
+                                                value):
+        monkeypatch.setenv("SPINFLUX_WORKERS", value)
+        monkeypatch.setattr(cli, "Generator",
+                            lambda *args, **kw: pytest.fail("built past the check"))
+        cfg = write_config(tmp_path, BASE + f"mode = {mode}\nvariant = weak_coupling\n")
+        out = tmp_path / "o"
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        record = json.loads((out / "error.json").read_text())
+        assert record["error"] == "ValueError" and record["exit_code"] == 2
+        assert "SPINFLUX_WORKERS" in record["message"]
+
+    def test_worker_variable_is_not_read_without_an_ensemble(self, tmp_path,
+                                                             monkeypatch):
+        monkeypatch.setenv("SPINFLUX_WORKERS", "abc")
+        cfg = write_config(tmp_path, BASE + "mode = steady\nvariant = weak_coupling\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+    def test_seed_outside_64_bits_is_a_config_error(self, tmp_path, seed):
+        cfg = write_config(tmp_path, BASE + "mode = mcwf\nvariant = weak_coupling\n")
+        out = tmp_path / "o"
+        assert main(["run", str(cfg), "--out", str(out), "--seed", seed]) == 2
+        record = json.loads((out / "error.json").read_text())
+        assert record["error"] == "ConfigError" and "mcwf.seed" in record["message"]
+        assert not (out / "mcwf.csv").exists()
+
     def test_bohr_memory_preflight_exit_code_and_record(self, tmp_path, monkeypatch):
         # 64 positive Bohr-frequency groups at n = 4: (2*64 + 1) * 16 * 16**2
         # = 528384 bytes per bath

@@ -96,6 +96,16 @@ class TestParse:
         with pytest.raises(ConfigError, match="initial_state"):
             parse_config("chain.n = 3\ninitial_state = thermal\n")
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        # the seed is the upper half of each trajectory's 128-bit Philox key
+        with pytest.raises(ConfigError, match=r"mcwf.seed must lie in \[0, 2\*\*64\)"):
+            parse_config(f"chain.n = 3\nmcwf.seed = {seed}\n")
+
+    @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+    def test_seed_range_ends_accepted(self, seed):
+        assert parse_config(f"chain.n = 3\nmcwf.seed = {seed}\n").master_seed == seed
+
     def test_invalid_physical_values_are_config_errors(self):
         with pytest.raises(ConfigError, match="bath"):
             parse_config("chain.n = 3\nbath.left.beta = -1.0\n")
@@ -127,6 +137,14 @@ class TestOverrides:
         moved = with_overrides(config, output_dir="a\ntolerance.cluster = 5")
         assert moved.cluster_tol is None
         assert config_hash(moved) == config_hash(config)
+
+    def test_seed_override_is_range_checked(self):
+        config = parse_config("chain.n = 3\n")
+        for seed in (-1, 2 ** 64):
+            with pytest.raises(ConfigError, match="mcwf.seed must lie in"):
+                with_overrides(config, master_seed=seed)
+        for seed in (0, 2 ** 64 - 1):
+            assert with_overrides(config, master_seed=seed).master_seed == seed
 
     def test_no_override_is_identity(self):
         config = parse_config("chain.n = 3\n")
@@ -179,3 +197,11 @@ class TestReadme:
                 assert kind(literal) == default, (key, literal)
                 checked += 1
         assert checked == len(table) - 2
+
+    def test_library_use_block_runs(self):
+        # the example uses only names the package exports
+        section = README.read_text(encoding="utf-8").split("## Library use", 1)[1]
+        block = section.split("```python\n", 1)[1].split("```", 1)[0]
+        names = {}
+        exec(compile(block, "README.md: Library use", "exec"), names)
+        assert names["ensemble"].means["j1"].shape == (11,)

@@ -15,11 +15,22 @@ from spinflux.dissipators import (LOCAL_JUMPS, Generator, LindbladTerms,
                                   _local_flip_operators)
 from spinflux.liouville import apply, assemble, steady_state
 from spinflux.observables import gibbs_state
-from spinflux.operators import DimensionError, Operator, eig_hermitian, pauli
+from spinflux.operators import DimensionError, Operator, eig_hermitian
 
 FIG_CHAIN = ChainSpec(n=3, field=1.0, exchange=0.01)
 LEFT = BathSpec(beta=0.41, coupling=0.01, side="left")
 RIGHT = BathSpec(beta=1.39, coupling=0.01, side="right")
+
+
+# the single-spin Pauli matrices, spelled out here as the tests' oracle
+PAULI_ENTRIES = {"x": [[0, 1], [1, 0]], "z": [[1, 0], [0, -1]],
+                 "plus": [[0, 1], [0, 0]], "minus": [[0, 0], [1, 0]]}
+
+
+def pauli(kind):
+    """A single-spin Pauli operator, flagged Hermitian for x and z."""
+    return Operator(np.array(PAULI_ENTRIES[kind], dtype=complex),
+                    hermitian=kind in ("x", "z"))
 
 
 def make_generator(variant, chain=FIG_CHAIN, left=LEFT, right=RIGHT):
@@ -352,6 +363,20 @@ class TestWeakCoupling:
         for bath, r in zip((LEFT, RIGHT), terms.rates):
             want = 2 * math.pi * (rate(1.0, bath) + rate(-1.0, bath))
             assert r == pytest.approx(want, rel=1e-12)
+
+    def test_jump_is_the_rank_one_part_of_split_gamma(self, monkeypatch):
+        # rate * u u^T is gamma_a, u the weights of sigma_plus and sigma_minus
+        split = []
+        monkeypatch.setattr(dissipators, "split_gamma",
+                            lambda g: split.append(g) or split_gamma(g))
+        terms = make_generator("weak_coupling").lindblad_terms()
+        assert len(split) == 2
+        for g, bath, r, jump in zip(split, (LEFT, RIGHT), terms.rates, terms.jumps):
+            assert np.array_equal(g, gamma_matrix(bath, FIG_CHAIN.field))
+            up, down = _local_flip_operators(FIG_CHAIN, bath.side)
+            u = np.array([jump[up != 0][0], jump[down != 0][0]])
+            assert np.array_equal(jump, u[0] * up + u[1] * down)
+            assert np.allclose(r * np.outer(u, u), split_gamma(g)[0], rtol=1e-12, atol=0)
 
     def test_equivalent_to_kossakowski_form(self):
         gen = make_generator("weak_coupling")

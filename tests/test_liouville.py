@@ -20,7 +20,7 @@ from spinflux.liouville import (NULLSPACE_TOL, DegenerateSteadyStateError,
                                 SolverError, Superoperator, _hermitian_basis,
                                 apply, assemble, coordinates, propagate,
                                 steady_state, unvectorize, vectorize)
-from spinflux.observables import gibbs_state, trace_distance
+from spinflux.observables import gibbs_state
 from spinflux.operators import DimensionError, Operator, connected_blocks, eig_hermitian
 from spinflux.chain import build_current_operator
 
@@ -29,6 +29,11 @@ LEFT = BathSpec(beta=0.41, coupling=0.01, side="left")
 RIGHT = BathSpec(beta=1.39, coupling=0.01, side="right")
 ALL_VARIANTS = ("redfield", "secular", "weak_coupling", "local_diag")
 LINDBLAD = ("secular", "weak_coupling", "local_diag")
+
+
+def trace_distance(rho, sigma):
+    """Half the sum of the singular values of rho - sigma."""
+    return 0.5 * np.linalg.svd(rho.matrix - sigma.matrix, compute_uv=False).sum()
 
 
 # sha256 of every variant's n=5 Liouvillian (its CSR arrays), steady state

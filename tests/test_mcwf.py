@@ -16,11 +16,22 @@ from spinflux.mcwf import (Trajectory, _BatchKernel, _rng_for,
                            effective_hamiltonian, evolve_trajectory,
                            run_ensemble, split_seed)
 from spinflux.observables import reported_current_operator
-from spinflux.operators import DimensionError, Operator, connected_blocks, pauli
+from spinflux.operators import DimensionError, Operator, connected_blocks
 
 FIG_CHAIN = ChainSpec(n=3, field=1.0, exchange=0.01)
 LEFT = BathSpec(beta=0.41, coupling=0.01, side="left")
 RIGHT = BathSpec(beta=1.39, coupling=0.01, side="right")
+
+
+# the single-spin Pauli matrices, spelled out here as the tests' oracle
+PAULI_ENTRIES = {"x": [[0, 1], [1, 0]], "z": [[1, 0], [0, -1]],
+                 "plus": [[0, 1], [0, 0]], "minus": [[0, 0], [1, 0]]}
+
+
+def pauli(kind):
+    """A single-spin Pauli operator, flagged Hermitian for x and z."""
+    return Operator(np.array(PAULI_ENTRIES[kind], dtype=complex),
+                    hermitian=kind in ("x", "z"))
 
 
 def two_level_field():
@@ -485,6 +496,26 @@ class TestEnsemble:
             run_ensemble(damping_terms(), EXCITED, np.array([0.0, 1.0]),
                          {"sz": pauli("z")}, realizations=0, master_seed=1)
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_rejects_fewer_than_one_worker(self, monkeypatch, workers):
+        # such a count ran serially while the memory count charged it no batch
+        monkeypatch.setattr(mcwf, "require_memory",
+                            lambda *args: pytest.fail("counted past the check"))
+        with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+            run_ensemble(damping_terms(), EXCITED, np.array([0.0, 1.0]),
+                         {"sz": pauli("z")}, realizations=2, master_seed=1,
+                         workers=workers)
+
+    @pytest.mark.parametrize("value,match", [("abc", "an integer, got 'abc'"),
+                                             ("0", ">= 1, got 0")])
+    def test_rejects_a_bad_worker_variable(self, monkeypatch, value, match):
+        monkeypatch.setenv("SPINFLUX_WORKERS", value)
+        monkeypatch.setattr(mcwf, "require_memory",
+                            lambda *args: pytest.fail("counted past the check"))
+        with pytest.raises(ValueError, match=f"SPINFLUX_WORKERS must be {match}"):
+            run_ensemble(damping_terms(), EXCITED, np.array([0.0, 1.0]),
+                         {"sz": pauli("z")}, realizations=2, master_seed=1)
+
     def test_one_kernel_per_ensemble(self, monkeypatch):
         # 600 realizations are 3 batches, and one kernel serves them all
         calls = []
@@ -645,6 +676,20 @@ class TestEnsemble:
         a = run_ensemble(terms, EXCITED, grid, {"sz": pauli("z")}, **kw)
         b = run_ensemble(terms, EXCITED, grid, {"sz": pauli("z")}, **kw)
         assert np.array_equal(a.means["sz"], b.means["sz"])
+
+
+class TestSplitSeed:
+    def test_keys_fill_both_halves(self):
+        assert split_seed(0, 0) == 0
+        assert split_seed(1, 0) == 2 ** 64
+        assert split_seed(2 ** 64 - 1, 2 ** 64 - 1) == 2 ** 128 - 1
+
+    @pytest.mark.parametrize("seed,index", [(-1, 0), (2 ** 64, 0), (2 ** 64 + 5, 3),
+                                            (0, -1), (0, 2 ** 64)])
+    def test_refuses_a_half_outside_64_bits(self, seed, index):
+        # masking made (-1, 0) the key of (2**64 - 1, 0), and (2**64 + 5, 3) that of (5, 3)
+        with pytest.raises(ValueError, match=r"outside \[0, 2\*\*64\)"):
+            split_seed(seed, index)
 
 
 class TestOneGrid:

@@ -3,8 +3,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from spinflux.bath import BathSpec
 from spinflux.chain import ChainSpec, build_hamiltonian
@@ -12,19 +10,12 @@ from spinflux.dissipators import VARIANTS, Generator
 from spinflux.liouville import assemble, steady_state
 from spinflux.observables import (bond_currents, diagonality_defect,
                                   gibbs_state, local_energies,
-                                  reported_current_operator, trace_distance,
-                                  transport_report)
-from spinflux.operators import EigenSystem, Operator, eig_hermitian, pauli
+                                  reported_current_operator, transport_report)
+from spinflux.operators import EigenSystem, Operator, eig_hermitian
 
 FIG_CHAIN = ChainSpec(n=3, field=1.0, exchange=0.01)
 LEFT = BathSpec(beta=0.41, coupling=0.01, side="left")
 RIGHT = BathSpec(beta=1.39, coupling=0.01, side="right")
-
-
-def random_state(rng, d):
-    m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    m = m @ m.conj().T
-    return Operator(m / np.trace(m), hermitian=True)
 
 
 class TestBondCurrents:
@@ -75,35 +66,6 @@ class TestDiagonalityDefect:
         assert diagonality_defect(rep.state, gen.eigensystem) > 1e-6
 
 
-class TestTraceDistance:
-    def test_self_distance(self):
-        rng = np.random.default_rng(1)
-        rho = random_state(rng, 8)
-        assert trace_distance(rho, rho) == 0.0
-
-    def test_orthogonal_pure_states(self):
-        a = Operator(np.diag([1.0, 0.0]).astype(complex), hermitian=True)
-        b = Operator(np.diag([0.0, 1.0]).astype(complex), hermitian=True)
-        assert trace_distance(a, b) == pytest.approx(1.0, abs=1e-14)
-
-    def test_single_spin_gibbs_vs_mixed(self):
-        # closed form: half of tanh(beta * field / 2)
-        h = Operator(0.5 * pauli("z").matrix, hermitian=True)
-        got = trace_distance(gibbs_state(eig_hermitian(h), 1.0),
-                             Operator(np.eye(2, dtype=complex) / 2, hermitian=True))
-        assert got == pytest.approx(0.5 * math.tanh(0.5), abs=1e-12)
-        assert got == pytest.approx(0.23105857863000487, abs=1e-12)
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(0, 2 ** 31 - 1))
-    def test_symmetry_and_triangle(self, seed):
-        rng = np.random.default_rng(seed)
-        a, b, c = (random_state(rng, 4) for _ in range(3))
-        dab, dba = trace_distance(a, b), trace_distance(b, a)
-        assert dab == pytest.approx(dba, abs=1e-12)
-        assert dab <= trace_distance(a, c) + trace_distance(c, b) + 1e-12
-
-
 class TestGibbsState:
     def test_unit_trace_and_ordering(self):
         eig = eig_hermitian(build_hamiltonian(FIG_CHAIN))
@@ -112,6 +74,13 @@ class TestGibbsState:
         pops = np.einsum("im,ij,jm->m", eig.eigenvectors.conj(), rho.matrix,
                          eig.eigenvectors).real
         assert all(a >= b - 1e-15 for a, b in zip(pops, pops[1:]))
+
+    def test_single_spin_closed_form(self):
+        # populations (1 -+ tanh(beta * field / 2)) / 2 of (field/2) sigma_z
+        h = Operator(np.diag([0.5, -0.5]).astype(complex), hermitian=True)
+        rho = gibbs_state(eig_hermitian(h), 1.0).matrix
+        t = math.tanh(0.5)
+        assert np.abs(rho - np.diag([(1 - t) / 2, (1 + t) / 2])).max() <= 1e-15
 
     def test_matches_expm_oracle(self):
         import scipy.linalg

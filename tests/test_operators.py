@@ -5,7 +5,7 @@ from spinflux import operators
 from spinflux.chain import ChainSpec, build_hamiltonian
 from spinflux.operators import (PAULI, DimensionError, Operator, _fix_phases,
                                 _stable_order, available_memory, eig_hermitian,
-                                embedded_sum, pauli, require_memory, time_grid)
+                                embedded_sum, require_memory, time_grid)
 
 
 def random_complex(rng, d):
@@ -24,25 +24,22 @@ def sz_sector(dim):
 
 class TestPauli:
     def test_z_is_diag(self):
-        assert np.array_equal(pauli("z").matrix, np.diag([1.0, -1.0]))
+        assert np.array_equal(PAULI["z"], np.diag([1.0, -1.0]))
 
     def test_plus_single_entry(self):
-        m = pauli("plus").matrix
+        m = PAULI["plus"]
         assert m[0, 1] == 1.0
         assert np.count_nonzero(m) == 1
 
     def test_commutator_algebra(self):
-        x, y = pauli("x").matrix, pauli("y").matrix
+        x, y = PAULI["x"], PAULI["y"]
         lhs = x @ y - y @ x
-        assert np.allclose(lhs, 2j * pauli("z").matrix, atol=1e-15)
+        assert np.allclose(lhs, 2j * PAULI["z"], atol=1e-15)
 
     def test_plus_minus_from_xy(self):
-        xy = 0.5 * (pauli("x").matrix + 1j * pauli("y").matrix)
-        assert np.array_equal(pauli("plus").matrix, xy)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown pauli kind"):
-            pauli("w")
+        xy = 0.5 * (PAULI["x"] + 1j * PAULI["y"])
+        assert np.array_equal(PAULI["plus"], xy)
+        assert np.array_equal(PAULI["minus"], xy.conj().T)
 
 
 class TestEmbed:
@@ -73,7 +70,7 @@ class TestHermitianFlag:
             Operator(np.array([[0.0, 1.0], [0.0, 0.0]]), hermitian=True)
 
     def test_matrix_frozen(self):
-        op = pauli("z")
+        op = Operator(np.diag([1.0, -1.0]), hermitian=True)
         with pytest.raises(ValueError):
             op.matrix[0, 0] = 5.0
 
@@ -124,7 +121,7 @@ class TestAvailableMemory:
 
 class TestEigHermitian:
     def test_sigma_z_eigenvalues(self):
-        eig = eig_hermitian(pauli("z"))
+        eig = eig_hermitian(Operator(PAULI["z"], hermitian=True))
         assert np.array_equal(eig.eigenvalues, [-1.0, 1.0])
 
     def test_two_site_field_eigenvalues(self):
