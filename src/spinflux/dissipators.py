@@ -32,15 +32,15 @@ point at the bath temperature.
 Each generator has one representation, ``Generator.sandwich_terms()``:
 ``(c, A, B)`` terms with ``L(rho) = sum c * A rho B``, coherent part
 included.  ``liouville.assemble`` and ``liouville.apply`` derive from it.
-``LindbladTerms``, the jump form, owns the one CSR ``decay``
-``sum_k rate_k L_k_dag L_k`` that H_eff and the trajectory sampler read.
+``LindbladTerms``, the jump form, owns the one CSR ``decay`` D =
+``sum_k rate_k L_k_dag L_k``; H_eff = H - (i/2) D is formed from it.
 
 Each spectrum is computed once, by its owner.  ``Generator`` owns the
 Hamiltonian's ``eigensystem`` and ``bohr_table``, the frequency group of
 every eigenbasis matrix element: the ``redfield`` filter weights that table
 with the bath rates in one pass, and the ``secular`` jumps are the
 eigenoperators X(w) cut out of it.  ``LindbladTerms`` owns H_eff's
-per-block ``eigenblocks``, which every trajectory kernel reads.
+``eigenblocks``, each block sliced from H and D, read by every kernel.
 """
 
 from __future__ import annotations
@@ -247,10 +247,6 @@ class LindbladTerms:
         weights = scipy.sparse.kron([self.rates], scipy.sparse.eye_array(d), format="csr")
         return weights @ (adjoints @ self.stacked)
 
-    def effective_hamiltonian(self) -> np.ndarray:
-        """Non-Hermitian drift ``H - (i/2) D``, ``D`` from ``decay``."""
-        return self.hamiltonian.matrix - 0.5j * self.decay
-
     @cached_property
     def blocks(self) -> list[np.ndarray]:
         """Index sets of the connected blocks of H_eff's non-zero pattern, the
@@ -261,14 +257,15 @@ class LindbladTerms:
 
     @cached_property
     def eigenblocks(self) -> tuple:
-        """H_eff's eigensystem, per block of ``blocks``: ``(idx, eigenvalues,
-        V, V_inv)``, or ``(idx, block)`` of H_eff where ``V`` is worse
-        conditioned than ``EIGVEC_CONDITION_LIMIT`` (near an exceptional
+        """The eigensystem of H_eff = ``H - (i/2) D`` per block of ``blocks``,
+        each block sliced from H and D = ``decay``, never from a d x d H_eff:
+        ``(idx, eigenvalues, V, V_inv)``, or ``(idx, block)`` where ``V`` is
+        worse conditioned than ``EIGVEC_CONDITION_LIMIT`` (near an exceptional
         point).  Diagonalized here only, once for every kernel."""
-        h_eff = self.effective_hamiltonian()
+        h = self.hamiltonian.matrix
         blocks = []
         for idx in self.blocks:
-            block = h_eff[np.ix_(idx, idx)]
+            block = h[np.ix_(idx, idx)] - 0.5j * self.decay[idx][:, idx].toarray()
             vals, vecs = np.linalg.eig(block)
             cond = np.linalg.cond(vecs)
             blocks.append((idx, vals, vecs, np.linalg.inv(vecs))
@@ -281,7 +278,7 @@ class LindbladTerms:
         L_k_dag)`` in jump order: the Lindblad generator
         ``-i[H, rho] + sum_k rate_k (L_k rho L_k_dag - (1/2){L_k_dag L_k, rho})``.
         Yielded one at a time, so a single pass never holds every ``L_k_dag``."""
-        h_eff = self.effective_hamiltonian()
+        h_eff = self.hamiltonian.matrix - 0.5j * self.decay
         yield -1j, h_eff, None
         yield 1j, None, h_eff.conj().T
         for r, L in self:

@@ -58,14 +58,13 @@ MAX_ROOT_ITERATIONS = 100
 JUMP_CHANNEL_CHUNK = 8
 # run_ensemble's ledger, fitted to tracemalloc peaks at n=3 to 10: while
 # terms.eigenblocks is not yet cached, arrays the size of each block of H_eff (V,
-# V^-1 and the work of diagonalizing one block) and d x d arrays for H_eff and the
-# dense decay it is formed from; d x d arrays for a mixed start's
-# eigendecomposition, which is done before H_eff is formed and keeps one of them;
+# V^-1 and the work of diagonalizing one block, which is sliced from H and the
+# decay); d x d arrays for a mixed start's eigendecomposition, which keeps one;
 # d-vectors per trajectory of a batch besides d + 2 entries per jump channel (a
 # branch and its weight's working arrays), and per column of a block of samples;
 # bytes of a trajectory's random stream, per non-zero of a CSR matrix at the peak
 # of its conversion to sector order, and of a mixed start's blocks (165 KB at n=6)
-KERNEL_BLOCK_MATRICES, HEFF_DENSE_MATRICES, MIXED_START_MATRICES = 4, 2, 4
+KERNEL_BLOCK_MATRICES, MIXED_START_MATRICES = 4, 4
 BATCH_STATE_VECTORS, BATCH_SAMPLE_VECTORS = 10, 6
 STREAM_BYTES, CSR_BYTES_PER_NONZERO, ENSEMBLE_FIXED_BYTES = 1024, 56, 2 ** 18
 
@@ -92,9 +91,9 @@ def worker_count(workers: int | None = None) -> int:
 def ensemble_bytes(sectors: list, jumps: int, jump_nnz: int, observable_nnz: list,
                    points: int, realizations: int, mixed: bool,
                    diagonalized: bool = False, workers: int | None = None) -> int:
-    """Bytes ``run_ensemble`` allocates: the kernel, for blocks of H_eff of
-    the sizes ``sectors`` (and the dense H_eff unless the jump terms are
-    ``diagonalized`` already), a ``mixed`` start's eigendecomposition, the
+    """Bytes ``run_ensemble`` allocates: the eigensystems of H_eff's blocks of
+    the sizes ``sectors`` unless the jump terms are ``diagonalized``
+    already, a ``mixed`` start's eigendecomposition, the
     CSR jumps and decay (``jump_nnz`` non-zeros) and observables
     (``observable_nnz`` non-zeros each), and per batch in flight, one per
     worker process, its samples and states."""
@@ -105,11 +104,9 @@ def ensemble_bytes(sectors: list, jumps: int, jump_nnz: int, observable_nnz: lis
                  + 16 * dim * BATCH_SAMPLE_VECTORS * min(BATCH_SIZE, batch * points))
     csr = (CSR_BYTES_PER_NONZERO * (jump_nnz + sum(observable_nnz))
            + 8 * (dim + 1) * (jumps + 1 + len(observable_nnz)))
-    fresh = not diagonalized
-    dense = max(MIXED_START_MATRICES * mixed, mixed + HEFF_DENSE_MATRICES * fresh)
-    blocks = fresh * 16 * KERNEL_BLOCK_MATRICES * sum(b * b for b in sectors)
-    return (ENSEMBLE_FIXED_BYTES + blocks + dense_bytes(dim, dense) + csr
-            + min(worker_count(workers), -(-realizations // BATCH_SIZE)) * per_batch)
+    blocks = (not diagonalized) * 16 * KERNEL_BLOCK_MATRICES * sum(b * b for b in sectors)
+    return (ENSEMBLE_FIXED_BYTES + blocks + dense_bytes(dim, MIXED_START_MATRICES * mixed)
+            + csr + min(worker_count(workers), -(-realizations // BATCH_SIZE)) * per_batch)
 
 
 def _norms2(psi: np.ndarray) -> np.ndarray:
@@ -159,16 +156,16 @@ class TrajectoryEnsembleResult:
 
 
 def effective_hamiltonian(h: Operator, terms: LindbladTerms) -> Operator:
-    """``terms.effective_hamiltonian()`` as an Operator; ``h`` must be
-    ``terms.hamiltonian``.  Kept only for the benchmark's jump sample
-    (``bench/workloads.py``), until ROADMAP item 6 counts its jumps with
-    ``run_ensemble``'s ``jump_counts``."""
+    """The dense H_eff ``H - (i/2) D`` of ``terms`` as an Operator, ``D``
+    from ``terms.decay``; ``h`` must be ``terms.hamiltonian``.  Kept only for
+    the benchmark's jump sample (``bench/workloads.py``), until ROADMAP item
+    6 counts its jumps with ``run_ensemble``'s ``jump_counts``."""
     if h.dim != terms.hamiltonian.dim:
         raise DimensionError(f"hamiltonian dim {h.dim} != jump dim "
                              f"{terms.hamiltonian.dim}")
     if not np.array_equal(h.matrix, terms.hamiltonian.matrix):
         raise ValueError("h differs from the Hamiltonian the jump terms carry")
-    return Operator(terms.effective_hamiltonian())
+    return Operator(h.matrix - 0.5j * terms.decay)
 
 
 class _BatchKernel:
@@ -366,13 +363,14 @@ class _BatchKernel:
 def evolve_trajectory(h_eff: Operator, terms: LindbladTerms, psi0: np.ndarray,
                       times: np.ndarray, seed: int) -> Trajectory:
     """Single stochastic realization with full state and jump records;
-    ``h_eff`` must be ``terms.effective_hamiltonian()``.  Kept only for the
+    ``h_eff`` must be ``effective_hamiltonian`` of ``terms``.  Kept only for the
     benchmark's jump sample (``bench/workloads.py``), until ROADMAP item 6
     counts its jumps with ``run_ensemble``'s ``jump_counts``."""
     psi0, _ = _initial_states(np.asarray(psi0))
     if psi0.shape[0] != h_eff.dim:
         raise DimensionError(f"state dim {psi0.shape[0]} != hamiltonian dim {h_eff.dim}")
-    if not np.array_equal(h_eff.matrix, terms.effective_hamiltonian()):
+    if not np.array_equal(h_eff.matrix,
+                          effective_hamiltonian(terms.hamiltonian, terms).matrix):
         raise ValueError("h_eff differs from the effective Hamiltonian of the jump terms")
     kernel = _BatchKernel(terms, times)
     rng = _rng_for(seed)
@@ -444,6 +442,7 @@ def run_ensemble(terms: LindbladTerms, initial, times: np.ndarray,
     """
     if realizations < 1:
         raise ValueError("need at least one realization")
+    split_seed(master_seed, realizations - 1)  # refuse a bad seed before any set-up
     dim = terms.hamiltonian.dim
     for name, op in observables.items():
         if op.dim != dim:

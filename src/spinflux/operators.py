@@ -237,18 +237,20 @@ def eig_hermitian(a: Operator) -> EigenSystem:
         vals[cols], block_vecs = np.linalg.eigh(a.matrix[rows[:, :, None],
                                                          rows[:, None, :]])
         vecs[rows[:, :, None], cols[:, None, :]] = block_vecs
-    vecs = _fix_phases(vecs)
+    _fix_phases(vecs)
     order = _stable_order(vals, vecs)
     return EigenSystem(vals[order], np.ascontiguousarray(vecs[:, order]))
 
 
 def _fix_phases(vecs: np.ndarray) -> np.ndarray:
+    """Fix each column's phase in place and return ``vecs``."""
     cols = np.arange(vecs.shape[1])
-    lead = np.argmax(np.abs(vecs) > 1e-12 * np.abs(vecs).max(axis=0), axis=0)
-    out = vecs * (vecs[lead, cols] / np.abs(vecs[lead, cols])).conj()
+    mags = np.abs(vecs)
+    lead = np.argmax(mags > 1e-12 * mags.max(axis=0), axis=0)
+    vecs *= (vecs[lead, cols] / mags[lead, cols]).conj()
     # scrub the residual imaginary dust on the lead components
-    out[lead, cols] = out[lead, cols].real
-    return out
+    vecs[lead, cols] = vecs[lead, cols].real
+    return vecs
 
 
 def _stable_order(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -258,6 +260,7 @@ def _stable_order(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     edges = np.flatnonzero(np.diff(vals[order], prepend=np.nan, append=np.nan))
     for i, j in zip(edges[:-1], edges[1:]):
         if j - i > 1:
-            keys = np.round(vecs[:, order[i:j]].T, 12).copy().view(float)
+            keys = vecs.T[order[i:j]]
+            keys = np.round(keys, 12, out=keys).view(float)
             order[i:j] = order[i:j][np.lexsort(keys.T[::-1])]
     return order

@@ -479,7 +479,7 @@ class TestLindbladTerms:
         chain = ChainSpec(n=n, field=1.0, exchange=0.01)
         terms = make_generator(variant, chain=chain).lindblad_terms()
         decay = terms.decay.toarray()
-        h_eff = terms.effective_hamiltonian()
+        _, h_eff, _ = next(terms.sandwich_terms())
         scale = np.abs(decay).max()
         assert np.abs(1j * (h_eff - h_eff.conj().T) - decay).max() <= 1e-14 * scale
         dense = sum(r * (L.conj().T @ L) for r, L in terms)
@@ -487,6 +487,30 @@ class TestLindbladTerms:
         if variant != "secular":
             # every local jump has at most one non-zero per row and column
             assert np.array_equal(decay, np.diag(np.diag(decay)))
+
+    # secular past n=6: its Bohr decomposition holds thousands of dense
+    # eigenoperators (1.75 GB at n=7, 30 GiB at n=8)
+    @pytest.mark.parametrize("variant,n", [
+        *(("secular", n) for n in range(3, 7)),
+        *((v, n) for v in ("weak_coupling", "local_diag") for n in range(3, 9))])
+    def test_eigenblocks_match_slices_of_dense_h_eff(self, variant, n):
+        # each block is sliced from H and D, never from a d x d H_eff; it
+        # equals the slice of the dense H - (i/2) D entry for entry, so its
+        # eigenvalues, V and V^-1 keep their bits
+        chain = ChainSpec(n=n, field=1.0, exchange=0.01)
+        terms = make_generator(variant, chain=chain).lindblad_terms()
+        h_eff = terms.hamiltonian.matrix - 0.5j * terms.decay
+        for idx, *eig in terms.eigenblocks:
+            block = h_eff[np.ix_(idx, idx)]
+            vals, vecs = np.linalg.eig(block)
+            cond = np.linalg.cond(vecs)
+            if len(eig) == 1:
+                assert not cond <= dissipators.EIGVEC_CONDITION_LIMIT
+                assert eig[0].tobytes() == block.tobytes()
+                continue
+            assert cond <= dissipators.EIGVEC_CONDITION_LIMIT
+            want = (vals, vecs, np.linalg.inv(vecs))
+            assert [a.tobytes() for a in eig] == [a.tobytes() for a in want]
 
 
 class TestGeneratorSpec:

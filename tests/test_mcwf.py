@@ -187,7 +187,7 @@ class TestTrajectory:
         # exponential, so the Newton iteration has to converge on its own
         gen = Generator("weak_coupling", FIG_CHAIN, LEFT, RIGHT)
         terms = gen.lindblad_terms()
-        h_eff = terms.effective_hamiltonian()
+        h_eff = effective_hamiltonian(terms.hamiltonian, terms).matrix
         psi0 = np.zeros(8, dtype=complex)
         psi0[1] = 1.0
 
@@ -212,7 +212,7 @@ class TestTrajectory:
         # expm + brentq, each channel from the same draws
         gen = Generator("weak_coupling", FIG_CHAIN, LEFT, RIGHT)
         terms = gen.lindblad_terms()
-        h_eff = terms.effective_hamiltonian()
+        h_eff = effective_hamiltonian(terms.hamiltonian, terms).matrix
         grid = np.linspace(0.0, 400.0, 51)
         psi = np.zeros(8, dtype=complex)
         psi[1] = 1.0
@@ -317,7 +317,7 @@ class TestBlocks:
         rho0 = Operator(np.eye(8, dtype=complex) / 8, hermitian=True)
         grid = np.linspace(0.0, 20.0, 3)
         psi0 = np.eye(8, dtype=complex)[1]
-        h_eff = Operator(terms.effective_hamiltonian())
+        h_eff = effective_hamiltonian(terms.hamiltonian, terms)
         counts = []
         for call in (lambda: run_ensemble(terms, rho0, grid, obs, 16, 5),
                      lambda: run_ensemble(terms, rho0, grid, obs, 16, 5),
@@ -343,7 +343,7 @@ class TestSectorOrder:
         weak = [BathSpec(beta=b.beta, coupling=1e-9, side=b.side)
                 for b in (LEFT, RIGHT)]
         terms = Generator("weak_coupling", chain, *weak).lindblad_terms()
-        h_eff = terms.effective_hamiltonian()
+        h_eff = effective_hamiltonian(terms.hamiltonian, terms).matrix
         grid = np.linspace(0.0, 40.0, 9)
         kernel = _BatchKernel(terms, grid)
         assert not np.array_equal(kernel.order, np.arange(chain.dim))
@@ -421,7 +421,7 @@ class TestEnsemble:
             res = run_ensemble(terms, psi0, grid,
                                {"j": reported_current_operator(FIG_CHAIN, 1)},
                                realizations=1, master_seed=master)
-            traj = evolve_trajectory(Operator(terms.effective_hamiltonian()),
+            traj = evolve_trajectory(effective_hamiltonian(terms.hamiltonian, terms),
                                      terms, psi0, grid, split_seed(master, 0))
             assert traj.jump_channels.size > 0
             assert np.array_equal(res.jump_counts, np.bincount(
@@ -491,6 +491,16 @@ class TestEnsemble:
                          {"sz": pauli("z"), "sp": pauli("plus")}, realizations=2,
                          master_seed=1)
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_refuses_a_bad_seed_before_any_set_up(self, monkeypatch, seed):
+        # refused before the memory count, so before a mixed start's
+        # eigendecomposition, eigenblocks or the kernel is built
+        monkeypatch.setattr(mcwf, "require_memory",
+                            lambda *args: pytest.fail("counted past the check"))
+        with pytest.raises(ValueError, match=r"outside \[0, 2\*\*64\)"):
+            run_ensemble(damping_terms(), EXCITED, np.array([0.0, 1.0]),
+                         {"sz": pauli("z")}, realizations=2, master_seed=seed)
+
     def test_requires_at_least_one_realization(self):
         with pytest.raises(ValueError, match="realization"):
             run_ensemble(damping_terms(), EXCITED, np.array([0.0, 1.0]),
@@ -533,18 +543,18 @@ class TestEnsemble:
         # d = 2 in two blocks of size 1, one jump channel, jumps and decay
         # with 1 non-zero each, one observable with 2 non-zeros, 2 points, 1
         # trajectory from a pure state on fresh terms: 262144 fixed bytes,
-        # 4 * 16 * (1 + 1) bytes of kernel blocks and 2 * 64 of dense H_eff,
+        # 4 * 16 * (1 + 1) bytes of kernel blocks (no dense H_eff is formed),
         # 56 * (2 + 2) + 8 * 3 * 3 bytes of CSR jumps, decay and observable,
         # and one batch: (8 * 2 + 1024 + 16 * (10 * 2 + 1 * (2 + 2))) bytes for
         # the trajectory and 16 * 2 * 6 * 2 bytes for its 2 samples' states,
-        # 262144 + 128 + 128 + 296 + 1424 + 384 = 264504 bytes
-        monkeypatch.setattr(operators, "available_memory", lambda: 264503)
+        # 262144 + 128 + 296 + 1424 + 384 = 264376 bytes
+        monkeypatch.setattr(operators, "available_memory", lambda: 264375)
         with pytest.raises(DimensionError, match="memory available"):
             run_ensemble(damping_terms(), EXCITED, np.array([0.0, 1.0]),
                          {"sz": pauli("z")}, realizations=1, master_seed=1)
 
     def test_memory_preflight_passes_when_memory_suffices(self, monkeypatch):
-        monkeypatch.setattr(operators, "available_memory", lambda: 264504)
+        monkeypatch.setattr(operators, "available_memory", lambda: 264376)
         run_ensemble(damping_terms(), EXCITED, np.array([0.0, 1.0]),
                      {"sz": pauli("z")}, realizations=1, master_seed=1)
 
@@ -552,7 +562,7 @@ class TestEnsemble:
         # the bytes above with a batch of 256 trajectories whose float64
         # samples fill 8 bytes * 1 observable * 20001 points each, and
         # 256 columns of sample states
-        total = (262144 + 128 + 128 + 296 + 256 * (8 * 20001 + 1024 + 16 * 24)
+        total = (262144 + 128 + 296 + 256 * (8 * 20001 + 1024 + 16 * 24)
                  + 16 * 2 * 6 * 256)
         monkeypatch.delenv("SPINFLUX_WORKERS", raising=False)
         monkeypatch.setattr(operators, "available_memory", lambda: total - 1)
@@ -627,11 +637,15 @@ class TestEnsemble:
         peak, count = self.traced_peak_and_count(monkeypatch, start, n, used=True)
         assert peak <= count
 
-    def test_used_terms_at_ten_sites_peak_below_one_dense_matrix(self, monkeypatch):
+    @pytest.mark.parametrize("used", [False, True], ids=["fresh", "used"])
+    def test_used_terms_at_ten_sites_peak_below_one_dense_matrix(self, monkeypatch,
+                                                                 used):
         # the kernel multiplies by each sector's V and V^-1 and forms no d x d
         # matrix: 1.5 MiB against 16 MiB for one, and 33.4 MiB when the
-        # kernel held a dense V and V^-1
-        peak, count = self.traced_peak_and_count(monkeypatch, "pure", 10, used=True)
+        # kernel held a dense V and V^-1.  Fresh terms slice each block of
+        # H_eff from H and the decay: 7.2 MiB, and 32.1 MiB when eigenblocks
+        # sliced a dense H_eff
+        peak, count = self.traced_peak_and_count(monkeypatch, "pure", 10, used=used)
         assert peak <= count
         assert peak < 16 * 1024 ** 2
 
@@ -706,8 +720,8 @@ class TestOneGrid:
             lambda: propagate(assemble(gen), rho0, grid),
             lambda: run_ensemble(terms, rho0, grid, {"j": reported_current_operator(
                 FIG_CHAIN, 1)}, realizations=1, master_seed=1),
-            lambda: evolve_trajectory(Operator(terms.effective_hamiltonian()), terms,
-                                      np.eye(8, dtype=complex)[1], grid, seed=1),
+            lambda: evolve_trajectory(effective_hamiltonian(gen.hamiltonian, terms),
+                                      terms, np.eye(8, dtype=complex)[1], grid, seed=1),
         ]
         errors = []
         for call in calls:

@@ -289,7 +289,7 @@ class TestPhaseFix:
         """The eigenvectors that ``eig_hermitian(a)`` hands to ``_fix_phases``."""
         seen = []
         monkeypatch.setattr(operators, "_fix_phases", lambda vecs: (
-            seen.append(vecs) or _fix_phases(vecs)))
+            seen.append(vecs.copy()) or _fix_phases(vecs)))
         eig_hermitian(a)
         return seen[0]
 
@@ -297,7 +297,7 @@ class TestPhaseFix:
     def test_chain_matches_column_loop(self, monkeypatch, n):
         vecs = self.spy_input(monkeypatch, build_hamiltonian(
             ChainSpec(n=n, field=1.0, exchange=0.01)))
-        assert np.array_equal(_fix_phases(vecs).view(float),
+        assert np.array_equal(_fix_phases(vecs.copy()).view(float),
                               column_loop_phases(vecs).view(float))
 
     @pytest.mark.parametrize("d", [4, 16, 60])
@@ -309,5 +309,5 @@ class TestPhaseFix:
                   Operator(np.kron(random_hermitian(rng, 4).matrix, np.eye(d // 4)),
                            hermitian=True)):
             vecs = self.spy_input(monkeypatch, a)
-            assert np.array_equal(_fix_phases(vecs).view(float),
+            assert np.array_equal(_fix_phases(vecs.copy()).view(float),
                                   column_loop_phases(vecs).view(float))
